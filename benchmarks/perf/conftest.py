@@ -1,11 +1,11 @@
-"""Perf-suite plumbing: the ``BENCH_perf.json`` publisher.
+"""Perf-suite plumbing: the ``perf_publish`` printer.
 
-Unlike the paper-table benchmarks (which publish rendered tables), the
-perf suite publishes *throughput numbers* — events/sec and wall seconds
-per layer — so that every future PR is accountable to a machine-readable
-performance trajectory.  Each test records one or more measurements via
-the ``perf_publish`` fixture; at session end the accumulated record is
-written to ``benchmarks/results/BENCH_perf.json``.
+The perf tests keep their behavioural asserts (golden pins per scale
+cell, payload sharing, snapshot-cache reuse) and *print* their timings;
+nothing is written to disk, so a test run leaves the working tree
+clean.  Numbers that back a performance claim come from
+``benchmarks/cupbench`` (see its README), which runs each workload in a
+fresh process and reports medians with spreads.
 
 Measurement discipline lives in :mod:`perfutil` (one untimed warmup,
 best of ``PERF_ROUNDS`` timed rounds).
@@ -13,13 +13,8 @@ best of ``PERF_ROUNDS`` timed rounds).
 
 from __future__ import annotations
 
-import datetime
-import json
-import platform
-import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Optional
 
 import pytest
 
@@ -27,122 +22,15 @@ PERF_DIR = Path(__file__).resolve().parent
 if str(PERF_DIR) not in sys.path:
     sys.path.insert(0, str(PERF_DIR))
 
-from perfutil import PERF_ROUNDS  # noqa: E402
-
-RESULTS_DIR = PERF_DIR.parent / "results"
-PERF_RECORD = RESULTS_DIR / "BENCH_perf.json"
-TRAJECTORY_RECORD = RESULTS_DIR / "BENCH_trajectory.json"
-
-
-def _git_revision() -> Optional[str]:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=PERF_DIR, capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _append_trajectory(record: Dict[str, dict]) -> None:
-    """Append one per-PR snapshot of the key numbers to the trajectory.
-
-    ``BENCH_trajectory.json`` is append-only across PRs: one entry per
-    recorded suite run, keyed by git revision, holding each benchmark's
-    throughput plus the scale-degradation quantities — so the perf
-    trajectory of the whole repository is machine-readable without
-    diffing BENCH_perf.json versions out of git history.  Re-running the
-    suite on the same revision replaces that revision's entry instead of
-    duplicating it.
-    """
-    entry = {
-        "revision": _git_revision(),
-        "recorded": datetime.date.today().isoformat(),
-        "python": platform.python_version(),
-        "throughput_per_sec": {
-            name: m.get("throughput_per_sec") for name, m in record.items()
-        },
-    }
-    ratio = record.get("scale_degradation_ratio")
-    if ratio is not None:
-        entry["degradation_ratio_n16384"] = ratio.get("degradation_ratio")
-        entry["ratio_improvement_vs_seed"] = ratio.get("ratio_improvement")
-        entry["large_n_throughput_improvement_vs_seed"] = ratio.get(
-            "large_n_throughput_improvement"
-        )
-    try:
-        trajectory = json.loads(TRAJECTORY_RECORD.read_text())
-        if not isinstance(trajectory.get("entries"), list):
-            raise ValueError
-    except (OSError, ValueError):
-        trajectory = {"suite": "perf-trajectory", "entries": []}
-    entries = trajectory["entries"]
-    # One entry per revision — a None revision (no git available) is a
-    # key of its own, so repeated tarball runs merge instead of growing
-    # the file unboundedly.
-    existing = None
-    for candidate in entries:
-        if candidate.get("revision") == entry["revision"]:
-            existing = candidate
-            break
-    if existing is not None:
-        # Merge into the revision's record instead of replacing it: a
-        # partial invocation (single file, REPRO_PERF_SCALE_MAX-capped
-        # run) refreshes the benchmarks it ran without destroying the
-        # full-suite numbers already recorded for this revision.
-        existing["recorded"] = entry["recorded"]
-        existing["python"] = entry["python"]
-        existing.setdefault("throughput_per_sec", {}).update(
-            entry["throughput_per_sec"]
-        )
-        for field in (
-            "degradation_ratio_n16384",
-            "ratio_improvement_vs_seed",
-            "large_n_throughput_improvement_vs_seed",
-        ):
-            if field in entry:
-                existing[field] = entry[field]
-    else:
-        entries.append(entry)
-    TRAJECTORY_RECORD.write_text(
-        json.dumps(trajectory, indent=2, sort_keys=True) + "\n"
-    )
-
-
-@pytest.fixture(scope="session")
-def perf_record():
-    """Session-wide accumulator, flushed to BENCH_perf.json at the end."""
-    record: Dict[str, dict] = {}
-    yield record
-    if not record:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "suite": "perf",
-        "python": platform.python_version(),
-        "platform": sys.platform,
-        "rounds": PERF_ROUNDS,
-        "benchmarks": record,
-    }
-    PERF_RECORD.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _append_trajectory(record)
-
 
 @pytest.fixture()
-def perf_publish(perf_record):
-    """Record one named measurement into the session's BENCH_perf.json."""
+def perf_publish():
+    """Print one named measurement (run pytest with ``-s`` to see it)."""
 
     def _publish(name: str, *, wall_seconds: float, ops: int,
                  unit: str = "events", **extra) -> None:
-        measurement = {
-            "wall_seconds": round(wall_seconds, 6),
-            "ops": ops,
-            "unit": unit,
-            "throughput_per_sec": round(ops / wall_seconds, 1),
-        }
-        measurement.update(extra)
-        perf_record[name] = measurement
-        print(f"\n[perf] {name}: {measurement['throughput_per_sec']:,.0f} "
-              f"{unit}/sec ({ops} {unit} in {wall_seconds:.3f}s)")
+        details = "".join(f" {key}={value}" for key, value in extra.items())
+        print(f"\n[perf] {name}: {ops / wall_seconds:,.0f} {unit}/sec "
+              f"({ops} {unit} in {wall_seconds:.3f}s){details}")
 
     return _publish

@@ -1,8 +1,8 @@
-"""Allocation benchmark: the batched fan-out shares one payload.
+"""Allocation benchmark: the fan-out shares one payload.
 
-The §2.6 fan-out used to clone a full ``UpdateMessage`` per interested
-child; the batched path allocates one immutable payload and k
-lightweight envelopes.  This suite pins that property mechanically:
+The §2.6 fan-out allocates one immutable payload and k lightweight
+envelopes (``UpdateMessage.fork``) instead of a full message per
+interested child.  This suite pins that property mechanically:
 
 * **payload identity** — every envelope delivered to the k children
   carries the *same* entries tuple object (zero payload copies per
@@ -105,7 +105,7 @@ def test_fanout_allocates_o1_payloads_per_push(perf_publish):
     assert large_k <= small_k * 2.0, (large_k, small_k)
 
     # Throughput of the push itself (envelopes placed on the wire per
-    # second), published so the trajectory records fan-out cost per PR.
+    # second).
     net, node, state, key = _fanout_network(63)
     updates = [_refresh(key, 0.0, i + 1) for i in range(pushes + 1)]
     node._forward_to_interested(state, updates[0])

@@ -2,9 +2,9 @@
 
 The cell is the heaviest point of the Table 2 (`run_network_size`)
 sweep at the default ``small`` preset: n = 1024 nodes at the §3.5
-high-rate operating point (paper-λ = 100).  This is the number the
-tentpole optimization is accountable to — the trajectory target is
-events/sec on this cell, recorded per PR in ``BENCH_perf.json``.
+high-rate operating point (paper-λ = 100) — the cell cupbench's
+``sim_query_heavy`` workload measures with medians and spreads; here
+its events/sec is printed.
 
 The run bypasses every cache layer (a cache hit would measure JSON
 parsing, not the simulator) and asserts the golden metric numbers so a

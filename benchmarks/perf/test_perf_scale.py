@@ -5,7 +5,7 @@ network-size axis far beyond the original 2^12 = 4096 nodes.  This suite
 times the standard cell (the `small` preset at the §3.5 high-rate
 operating point, paper-λ = 100 — identical to ``test_perf_macro``'s
 n=1024 cell except for ``num_nodes``) at n = 4096, 16384 and 65536,
-publishing three numbers per cell into ``BENCH_perf.json``:
+printing three numbers per cell:
 
 * steady-state **events/sec** of the run phase;
 * **setup seconds** (network construction, including overlay build —
@@ -19,7 +19,10 @@ and runs for seconds, so machine noise is amortized by run length and
 the warmup/best-of protocol of the micro benchmarks would triple a
 multi-minute suite for no added signal.  The golden metric pins make the
 cells referee their own correctness: a "fast but wrong" routing change
-fails here before it can publish a throughput number.
+fails here before it can print a throughput number.  The timings are
+information, not a gate; ``benchmarks/cupbench`` measures the same cells
+(``sim_query_heavy`` at n=1024, ``sim_hop_heavy`` at n=16384) with
+medians and spreads for anything that needs to be claimed.
 
 Set ``REPRO_PERF_SCALE_MAX`` (e.g. ``16384``) to cap the sweep on
 constrained machines; every cell at or below the cap still runs.
@@ -33,22 +36,9 @@ from repro.core.protocol import CupNetwork
 from repro.experiments import topology
 from repro.experiments.config import SMALL
 
-#: Seed (pre-optimization) per-event throughput of the two ratio cells,
-#: from the committed BENCH_perf.json of PR 3: the accountability
-#: baseline for the flat-cost-in-N work.
-SEED_THROUGHPUT_N1024 = 229089.8
-SEED_THROUGHPUT_N16384 = 64572.5
-SEED_DEGRADATION_RATIO = SEED_THROUGHPUT_N1024 / SEED_THROUGHPUT_N16384
-
-#: Regression gate for the measured degradation ratio.  The seed sat at
-#: 3.55; the batched fan-out + flat-counter + snapshot work brought the
-#: sweep steady state to ~2.2-2.5 on the reference box.  The bound sits
-#: ~25% above the recorded value — wide enough that shared-runner
-#: co-tenancy (which inflates the multi-second n=16384 cell more than
-#: the n=1024 one) does not fire it, tight enough that regressing back
-#: toward the seed behaviour fails the suite.  The machine-normalized
-#: per-cell gate lives in scripts/check_perf_regression.py.
-MAX_DEGRADATION_RATIO = 3.1
+#: Seed (pre-optimization) degradation ratio, from the record of PR 3:
+#: 229.1k events/s at n=1024 over 64.6k at n=16384.
+SEED_DEGRADATION_RATIO = 3.55
 
 #: (num_nodes, golden queries_posted, golden total_cost) per cell.  The
 #: workload stream is identical across n (same seed, same arrival
@@ -141,16 +131,13 @@ def _sweep_steady_state_throughput(num_nodes: int, rounds: int = 2):
 
 
 def test_scale_degradation_ratio(perf_publish):
-    """Pin the n=1024 → n=16384 per-event throughput degradation.
+    """Report the n=1024 → n=16384 per-event throughput degradation.
 
-    The seed degraded 3.55x (more hops per query at a larger diameter,
-    and each hop cost ~20 us); the batched fan-out and flat-counter
-    layers cut per-hop cost by more than half, which lifts the large-N
-    cell — where hops dominate the event mix — far more than the small
-    one.  Both cells are measured back-to-back in this process, so the
-    ratio cancels machine speed; the absolute throughputs are published
-    alongside the seed values so the trajectory file records the
-    improvement factors per PR.
+    More hops per query at a larger diameter make the large-N cell
+    slower per event; the seed degraded 3.55x.  Both cells are measured
+    back-to-back in this process, so the ratio cancels machine speed.
+    The ratio is printed, not gated: across recorded runs it moved
+    between 2.2 and 3.0 with no code cause.
     """
     if _scale_cap() < 16384:
         import pytest
@@ -162,7 +149,7 @@ def test_scale_degradation_ratio(perf_publish):
     wall_large, events_large, summary_large = _sweep_steady_state_throughput(
         16384, rounds=2
     )
-    # The golden referee: fast-but-wrong cannot publish a ratio.
+    # The golden referee: fast-but-wrong cannot print a ratio.
     assert summary_small.queries_posted == 74716
     assert summary_small.total_cost == 15358
     assert summary_large.queries_posted == 74716
@@ -170,25 +157,13 @@ def test_scale_degradation_ratio(perf_publish):
 
     throughput_small = events_small / wall_small
     throughput_large = events_large / wall_large
-    ratio = throughput_small / throughput_large
     perf_publish(
         "scale_degradation_ratio",
         wall_seconds=wall_small + wall_large,
         ops=events_small + events_large,
         unit="events",
-        degradation_ratio=round(ratio, 3),
+        degradation_ratio=round(throughput_small / throughput_large, 3),
+        seed_degradation_ratio=SEED_DEGRADATION_RATIO,
         throughput_n1024=round(throughput_small, 1),
         throughput_n16384=round(throughput_large, 1),
-        seed_degradation_ratio=round(SEED_DEGRADATION_RATIO, 3),
-        seed_throughput_n1024=SEED_THROUGHPUT_N1024,
-        seed_throughput_n16384=SEED_THROUGHPUT_N16384,
-        ratio_improvement=round(SEED_DEGRADATION_RATIO / ratio, 3),
-        large_n_throughput_improvement=round(
-            throughput_large / SEED_THROUGHPUT_N16384, 3
-        ),
-    )
-    assert ratio <= MAX_DEGRADATION_RATIO, (
-        f"per-event throughput degradation n=1024 -> n=16384 is "
-        f"{ratio:.2f}x (seed {SEED_DEGRADATION_RATIO:.2f}x); the flat-cost "
-        f"work held this under {MAX_DEGRADATION_RATIO}"
     )

@@ -487,7 +487,6 @@ def _node_config_from_args(args, joining: bool):
         pfu_timeout=args.pfu_timeout,
         keepalive_period=args.keepalive_period,
         keepalive_misses=args.keepalive_misses,
-        codec=args.codec,
         invariants=not args.no_invariants,
         recovery=not args.no_recovery,
         quiet=args.quiet,
@@ -798,10 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--keepalive-misses", type=_positive_int, default=3,
             metavar="N", help="silent periods before suspecting a peer",
-        )
-        p.add_argument(
-            "--codec", default="json", metavar="NAME",
-            help="wire codec: json (always) or msgpack (if installed)",
         )
         p.add_argument(
             "--no-invariants", action="store_true",

@@ -162,8 +162,8 @@ class OutgoingUpdateChannels:
         self._sim = sim
         self._send = send_fn
         self.capacity = capacity or CapacityConfig()
-        # Precomputed "no constraint at all" bit: the batched fan-out
-        # fast path in the node reads this once per fan-out instead of
+        # Precomputed "no constraint at all" bit: the node reads this
+        # once per fan-out (to hand it to the transport whole) instead of
         # re-deriving it from fraction/rate per child.  Kept in sync by
         # set_capacity.
         self.unlimited = self.capacity.unlimited()

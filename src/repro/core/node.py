@@ -99,7 +99,7 @@ class CupNode:
         "pfu_timeout", "track_justification", "cache", "authority_index",
         "channels", "refresh_aggregation_window", "refresh_sample_fraction",
         "_aggregation_buffers", "_sample_rng", "keepalive_monitor",
-        "invariant_probe", "batched_fanout", "_forward_always", "recovery",
+        "invariant_probe", "_forward_always", "recovery",
     )
 
     def __init__(
@@ -120,7 +120,6 @@ class CupNode:
         refresh_aggregation_window: Optional[float] = None,
         refresh_sample_fraction: float = 1.0,
         channel_priorities: Optional[dict] = None,
-        batched_fanout: bool = True,
         recovery_config: Optional[RecoveryConfig] = None,
     ):
         if refresh_aggregation_window is not None and refresh_aggregation_window <= 0:
@@ -158,23 +157,16 @@ class CupNode:
         self.refresh_sample_fraction = refresh_sample_fraction
         self._aggregation_buffers: dict = {}
         self._sample_rng = rng
-        # Batched fan-out (one shared payload + k envelopes through one
-        # transport call) vs the per-child reference path.  Both produce
-        # byte-identical metrics and cache state — the flag exists so
-        # the equivalence property tests can referee one against the
-        # other, and as an escape hatch while diagnosing.
-        self.batched_fanout = batched_fanout
         # Unreliable-transport survival layer: None on the default
         # reliable path (zero hot-path cost beyond one None test).  With
-        # recovery on, updates must be stamped with per-neighbor
-        # sequence numbers at transmit time, which the grouped fan-out
-        # cannot do — force the per-child reference path.
+        # recovery on, updates are stamped with per-neighbor sequence
+        # numbers at transmit time, so every push goes through the
+        # per-child channel path (see _push_updates).
         if recovery_config is not None:
             self.recovery = RecoveryManager(
                 sim, transport, node_id, metrics, recovery_config,
                 self._recover_by_pull,
             )
-            self.batched_fanout = False
         else:
             self.recovery = None
         # Attached by CupNetwork.enable_keepalive(); None otherwise.
@@ -477,15 +469,15 @@ class CupNode:
         if interest:
             # Receiving on behalf of interested neighbors: apply and push
             # (§2.6 case 2, "popularity high or some interest bits set").
-            # The no-gate batched case — an ungated policy at full
-            # capacity, i.e. virtually every hop of a healthy run — is
-            # inlined; anything that can gate, suppress or queue takes
-            # the general path.
+            # The no-gate case — an ungated policy at full capacity over
+            # a reliable transport, i.e. virtually every hop of a healthy
+            # run — is inlined; anything that can gate, suppress, queue
+            # or stamp takes the general path.
             channels = self.channels
             if (
                 self._forward_always
                 and channels.unlimited
-                and self.batched_fanout
+                and recovery is None
             ):
                 targets = state._interest_sorted
                 if targets is None or len(targets) != len(interest):
@@ -644,13 +636,9 @@ class CupNode:
         suppression removes targets from it (callers use this to rescue
         waiting queriers with an ungated first-time response).
 
-        At full capacity the fan-out is batched: one shared immutable
-        payload travels to all k children as k lightweight envelopes
-        through a single transport call.  Under a fraction/rate
-        constraint — or with ``batched_fanout`` off — the per-child
-        reference path forks and offers one update per neighbor, in the
-        same deterministic order (so capacity coin flips consume the
-        random stream identically).
+        Targets are offered in the same deterministic order whichever
+        way :meth:`_push_updates` sends them (so capacity coin flips
+        consume the random stream identically).
         """
         interest = state.interest
         if not interest:
@@ -682,16 +670,16 @@ class CupNode:
     def _push_updates(self, targets: tuple, update: UpdateMessage) -> tuple:
         """Offer one update to many neighbors; returns those it reached.
 
-        The batched fast path applies when nothing can suppress or
-        reorder the sends (full capacity, no rate pump): the transport
-        fans the shared payload out in one call.  Otherwise each
-        neighbor gets its own channel offer, preserving per-child coin
-        flip order and queue accounting.
+        When nothing can suppress, queue or stamp the sends (full
+        capacity, no rate pump, no recovery layer) the transport fans
+        the shared payload out directly.  Otherwise each neighbor gets
+        its own channel offer, preserving per-child coin flip order,
+        queue accounting and ``hop_seq`` stamping.
         """
         if not targets:
             return ()
         channels = self.channels
-        if self.batched_fanout and channels.unlimited:
+        if channels.unlimited and self.recovery is None:
             self._transport.send_fanout(self.node_id, targets, update)
             channels.forwarded += len(targets)
             return targets

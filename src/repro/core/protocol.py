@@ -82,12 +82,6 @@ class CupConfig:
     # "latency" (first-time > delete > refresh > append) or
     # "flash-crowd" (appends promoted to spread load across replicas).
     priority_profile: str = "latency"
-    # Batched update fan-out: one shared payload + k lightweight
-    # envelopes per push instead of k full per-child forks.  Results are
-    # byte-identical either way (property-tested), so — like ``trace`` —
-    # this knob is not part of run-cache keys; False selects the
-    # per-child reference path.
-    batched_fanout: bool = True
     # Unreliable-transport survival layer (recovery).  The default True
     # assumes a reliable transport (no fault injection) and keeps the
     # run byte-identical to historical golden pins: nodes carry no
@@ -182,8 +176,6 @@ class CupConfig:
             )
         if not 0.0 < self.refresh_sample_fraction <= 1.0:
             raise ValueError("refresh_sample_fraction must be in (0, 1]")
-        from repro.core.channels import PRIORITY_PROFILES
-
         if self.priority_profile not in PRIORITY_PROFILES:
             raise ValueError(
                 f"unknown priority_profile: {self.priority_profile!r}; "
@@ -384,7 +376,6 @@ class CupNetwork:
             refresh_aggregation_window=config.refresh_aggregation_window,
             refresh_sample_fraction=config.refresh_sample_fraction,
             channel_priorities=PRIORITY_PROFILES[config.priority_profile],
-            batched_fanout=config.batched_fanout,
             # Standard caching routes responses over recorded query
             # paths (route is not None), which the sequence layer
             # exempts; only CUP-style propagation gets recovery state.
@@ -495,15 +486,13 @@ class CupNetwork:
         double-counts; the overlay's own accumulators are the source of
         truth for everything after construction.
         """
-        base_seconds, base_builds = getattr(
-            self, "_tables_at_build", (0.0, 0)
-        )
+        base_seconds, base_builds = self._tables_at_build
         self.metrics.routing_build_seconds = (
             self._overlay_build_seconds
             + self.overlay.table_build_seconds - base_seconds
         )
         self.metrics.routing_table_builds = (
-            getattr(self, "_fresh_builds", 1)
+            self._fresh_builds
             + self.overlay.table_builds - base_builds
         )
 
@@ -796,7 +785,7 @@ class CupNetwork:
         executor only shares snapshots with churn-free cells, so this
         guard can fire only on direct misuse — loudly, not subtly.
         """
-        if getattr(self, "_topology_shared", False):
+        if self._topology_shared:
             raise RuntimeError(
                 f"{operation} on a network built from a shared topology "
                 "snapshot; construct the CupNetwork without `topology=` "
@@ -808,10 +797,7 @@ class CupNetwork:
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} is already a member")
         self._require_private_topology("join_node")
-        if isinstance(self.overlay, CanOverlay):
-            self.overlay.join(node_id)
-        else:
-            self.overlay.join(node_id)
+        self.overlay.join(node_id)
         node = self._create_node(node_id)
         self._attach_monitor(node_id, node)
         self._member_list = list(self.nodes)

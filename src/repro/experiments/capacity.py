@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.protocol import CupConfig
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, monotone_nonincreasing
 from repro.experiments.config import Scale, resolve_scale
 from repro.experiments.executor import (
     FAULT_CONFIGURATIONS,
@@ -168,6 +168,4 @@ def run_capacity(
 
 def monotone_nonincreasing_rev(values: List[int]) -> bool:
     """Values indexed by ascending capacity should trend downward."""
-    from repro.experiments.base import monotone_nonincreasing
-
     return monotone_nonincreasing([float(v) for v in values], slack=0.10)

@@ -1,4 +1,4 @@
-"""Live networking for CUP: wire codec, clock/transport seam, daemon.
+"""Live networking for CUP: wire framing, clock and transport, daemon.
 
 The simulator and the live stack share one protocol core; this package
 holds everything that only exists in the live world — framing
@@ -14,7 +14,6 @@ from repro.net.transport import LiveTransport
 from repro.net.wire import (
     FrameDecoder,
     WireError,
-    available_codecs,
     encode_frame,
     message_from_wire,
     message_to_wire,
@@ -28,7 +27,6 @@ __all__ = [
     "LiveTransport",
     "NodeClient",
     "WireError",
-    "available_codecs",
     "encode_frame",
     "message_from_wire",
     "message_to_wire",

@@ -33,11 +33,9 @@ def parse_address(address: str, default_port: int = 9400) -> Tuple[str, int]:
 class NodeClient:
     """One connection to one daemon; usable as a context manager."""
 
-    def __init__(self, address: str, timeout: float = 10.0,
-                 codec: str = "json"):
+    def __init__(self, address: str, timeout: float = 10.0):
         host, port = parse_address(address)
         self.address = f"{host}:{port}"
-        self._codec = codec
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._decoder = FrameDecoder()
         # Responses decoded past the one being awaited (a recv can land
@@ -65,7 +63,7 @@ class NodeClient:
         arrived in the same ``recv`` as an earlier response waits in
         ``_pending`` for the request it answers.
         """
-        self._sock.sendall(encode_frame(frame, self._codec))
+        self._sock.sendall(encode_frame(frame))
         while not self._pending:
             data = self._sock.recv(_READ_CHUNK)
             if not data:

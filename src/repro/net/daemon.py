@@ -91,7 +91,6 @@ from repro.net.wire import (
     entry_to_wire,
     message_from_wire,
     message_to_wire,
-    resolve_codec,
 )
 from repro.overlay.chord import ChordOverlay
 from repro.persistence.checkpoint import CheckpointError
@@ -124,7 +123,6 @@ class LiveNodeConfig:
     #: Garbage-collect expired cache state this often (0 disables).
     gc_interval: float = 60.0
     overlay_bits: int = 32
-    codec: str = "json"
     invariants: bool = True
     #: Run the unreliable-transport recovery layer.  TCP is reliable
     #: per-connection, but frames sent while a link is still dialing are
@@ -171,7 +169,6 @@ class LiveNodeConfig:
             raise ValueError("dead_after must be >= suspect_after")
         if self.outbox_limit < 1:
             raise ValueError("outbox_limit must be >= 1")
-        resolve_codec(self.codec)  # fail fast on unavailable codecs
 
 
 class LocalNetworkView:
@@ -209,19 +206,26 @@ class LocalNetworkView:
         return self._daemon.transport
 
 
+def _hello_id(hello: dict) -> str:
+    """The member id a ``hello`` frame announces; ``WireError`` if none."""
+    peer_id = hello.get("id")
+    if not isinstance(peer_id, str) or not peer_id:
+        raise WireError(f"hello frame without a valid id: {hello!r}")
+    return peer_id
+
+
 class _PeerLink:
     """One live connection to a peer, with a bounded outbound queue."""
 
     __slots__ = (
         "peer_id", "writer", "outbox", "writer_task", "reader_task",
-        "welcomed", "codec", "overflows", "on_overflow",
+        "welcomed", "overflows", "on_overflow",
     )
 
     def __init__(self, peer_id: str, writer: asyncio.StreamWriter,
-                 codec: str, limit: int = 0, on_overflow=None):
+                 limit: int = 0, on_overflow=None):
         self.peer_id = peer_id
         self.writer = writer
-        self.codec = codec
         self.outbox: asyncio.Queue = asyncio.Queue(maxsize=limit)
         self.writer_task: Optional[asyncio.Task] = None
         self.reader_task: Optional[asyncio.Task] = None
@@ -230,7 +234,7 @@ class _PeerLink:
         self.on_overflow = on_overflow
 
     def send_json(self, obj: dict) -> None:
-        frame = encode_frame(obj, self.codec)
+        frame = encode_frame(obj)
         try:
             self.outbox.put_nowait(frame)
         except asyncio.QueueFull:
@@ -684,7 +688,7 @@ class LiveNode:
     def _make_link(self, peer_id: str,
                    writer: asyncio.StreamWriter) -> _PeerLink:
         return _PeerLink(
-            peer_id, writer, self.config.codec,
+            peer_id, writer,
             limit=self.config.outbox_limit,
             on_overflow=self._outbox_overflow,
         )
@@ -834,14 +838,11 @@ class LiveNode:
         elif t == "hello":
             # A re-hello on an established link: answer with the current
             # member list (harmless, keeps the handshake idempotent).
-            self._welcome(link, frame)
+            self._welcome(link, _hello_id(frame), frame)
         else:
             raise WireError(f"unknown peer frame type {t!r}")
 
-    def _welcome(self, link: _PeerLink, hello: dict) -> None:
-        peer_id = hello.get("id")
-        if not isinstance(peer_id, str) or not peer_id:
-            raise WireError(f"hello frame without a valid id: {hello!r}")
+    def _welcome(self, link: _PeerLink, peer_id: str, hello: dict) -> None:
         fresh = self._add_member(peer_id)
         link.send_json({
             "t": "welcome",
@@ -874,14 +875,10 @@ class LiveNode:
                     if link is not None:
                         self._process_peer_frame(link, frame)
                     elif frame.get("t") == "hello":
-                        peer_id = frame.get("id")
-                        if not isinstance(peer_id, str) or not peer_id:
-                            raise WireError(
-                                f"hello frame without a valid id: {frame!r}"
-                            )
+                        peer_id = _hello_id(frame)
                         link = self._make_link(peer_id, writer)
                         self._register_link(link)
-                        self._welcome(link, frame)
+                        self._welcome(link, peer_id, frame)
                     else:
                         stop_after = await self._handle_client_frame(
                             frame, writer
@@ -929,7 +926,7 @@ class LiveNode:
                          "error": f"unknown request type {t!r}"}
         except Exception as exc:  # a bad request must not kill the node
             reply = {"t": "error", "error": f"{type(exc).__name__}: {exc}"}
-        writer.write(encode_frame(reply, self.config.codec))
+        writer.write(encode_frame(reply))
         await writer.drain()
         return stop
 

@@ -8,32 +8,29 @@ duck-typed dependencies —
   *args)`` method returning a cancellable handle (the discrete-event
   :class:`~repro.sim.engine.Simulator`, or
   :class:`~repro.net.clock.LiveClock` over asyncio), and
-* a **transport** with the send/registry surface below (the simulator's
+* a **transport** derived from
+  :class:`~repro.sim.network.TransportCore` (the simulator's
   :class:`~repro.sim.network.Transport`, or
-  :class:`~repro.net.transport.LiveTransport` over TCP connections).
+  :class:`~repro.net.transport.LiveTransport` over TCP connections) —
+  a shared base class, so conformance is ``isinstance``.
 
-These Protocols make that seam explicit and checkable.  They are
-intentionally defined *here* rather than by moving ``Message``/
-``Transport`` out of :mod:`repro.sim.network`: the simulator types are
-pickled into checkpoints and pinned by golden-run byte identity, so the
-live stack conforms to the seam instead of the seam relocating the
-simulator.  ``tests/test_live_node.py`` asserts both implementations
-satisfy :func:`missing_transport_methods` / :func:`missing_clock_api`.
+The clock and the daemon-side router share no code between the two
+worlds, so their seams are stated here as Protocols and
+``tests/test_live_node.py`` asserts both implementations satisfy
+:func:`missing_clock_api` / :func:`missing_router_methods`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Protocol, Tuple
+from typing import Any, List, Protocol, Tuple
 
 from repro.sim.network import Message, NodeId
 
 __all__ = [
     "ClockSeam",
     "RouterSeam",
-    "TransportSeam",
     "missing_clock_api",
     "missing_router_methods",
-    "missing_transport_methods",
 ]
 
 
@@ -48,47 +45,6 @@ class ClockSeam(Protocol):
     def schedule(self, delay: float, fn, *args) -> Any:
         """Run ``fn(*args)`` after ``delay``; returns a handle with
         ``cancel()``."""
-        ...  # pragma: no cover - protocol definition
-
-
-class TransportSeam(Protocol):
-    """What node logic needs of a transport.
-
-    Counter attributes (``sent``, ``sent_direct``, ``delivered``,
-    ``dropped``, ``blocked``, ``lost``, ``duplicated``, ``reordered``)
-    ride along for the invariant checker's conservation audit; they are
-    data members, so they are listed in :data:`TRANSPORT_COUNTERS`
-    rather than in the Protocol body (``runtime_checkable`` protocols
-    may not carry non-method members).
-    """
-
-    def register(self, node_id: NodeId, handler) -> None:
-        ...  # pragma: no cover - protocol definition
-
-    def unregister(self, node_id: NodeId) -> None:
-        ...  # pragma: no cover - protocol definition
-
-    def is_registered(self, node_id: NodeId) -> bool:
-        ...  # pragma: no cover - protocol definition
-
-    def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        ...  # pragma: no cover - protocol definition
-
-    def send_fanout(
-        self, src: NodeId, dsts: Tuple[NodeId, ...], message: Message
-    ) -> None:
-        ...  # pragma: no cover - protocol definition
-
-    def send_direct(
-        self, dst: NodeId, message: Message, delay: float = 0.0,
-        src: NodeId = None,
-    ) -> None:
-        ...  # pragma: no cover - protocol definition
-
-    def add_send_observer(self, observer) -> None:
-        ...  # pragma: no cover - protocol definition
-
-    def attach_metrics(self, collector) -> None:
         ...  # pragma: no cover - protocol definition
 
 
@@ -119,33 +75,6 @@ class RouterSeam(Protocol):
 ROUTER_METHODS: Tuple[str, ...] = ("is_peer", "call_soon", "send_wire")
 
 
-#: Method surface of :class:`TransportSeam`, for conformance checks.
-TRANSPORT_METHODS: Tuple[str, ...] = (
-    "register", "unregister", "is_registered",
-    "send", "send_fanout", "send_direct",
-    "add_send_observer", "attach_metrics",
-)
-
-#: Counter attributes the invariant checker's conservation audit reads.
-TRANSPORT_COUNTERS: Tuple[str, ...] = (
-    "sent", "sent_direct", "delivered", "dropped", "blocked",
-    "lost", "duplicated", "reordered",
-)
-
-
-def missing_transport_methods(transport: Any) -> List[str]:
-    """Names of seam methods/counters ``transport`` fails to provide."""
-    missing = [
-        name for name in TRANSPORT_METHODS
-        if not callable(getattr(transport, name, None))
-    ]
-    missing.extend(
-        name for name in TRANSPORT_COUNTERS
-        if not hasattr(transport, name)
-    )
-    return missing
-
-
 def missing_router_methods(router: Any) -> List[str]:
     """Names of seam methods ``router`` fails to provide."""
     return [
@@ -163,7 +92,3 @@ def missing_clock_api(clock: Any) -> List[str]:
         missing.append("schedule")
     return missing
 
-
-def conforming(objects: Iterable[Any]) -> bool:
-    """Whether every object satisfies the transport seam (test helper)."""
-    return all(not missing_transport_methods(obj) for obj in objects)

@@ -1,12 +1,12 @@
-"""Socket-backed implementation of the transport seam.
+"""Socket-backed transport for one daemon process.
 
-One :class:`LiveTransport` serves one daemon process.  It mirrors the
-simulator transport's surface and accounting exactly (see
-:mod:`repro.net.seam`): hop counters increment at send time, observers
-fire once per overlay-hop send before anything can drop the message,
-``send_direct`` is invisible to observers, and unreachable destinations
-are counted in ``dropped`` — delivery to a peer that departed while the
-frame was in flight looks identical in both worlds.
+:class:`LiveTransport` derives from the simulator's
+:class:`~repro.sim.network.TransportCore`, so hop charging, observer
+ordering and the delivered/dropped verdict are the *same code* in both
+worlds: hop counters increment at send time, observers fire once per
+overlay-hop send before anything can drop the message, ``send_direct``
+is invisible to observers, and unreachable destinations are counted in
+``dropped``.  Only how a charged message travels differs.
 
 The transport itself owns no sockets.  Destinations resolve through a
 *router* (the owning :class:`~repro.net.daemon.LiveNode`), which needs
@@ -32,102 +32,33 @@ would look like it manufactured messages.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Optional
 
-from repro.sim.network import Message, MessageHandler, NodeId, SendObserver
+from repro.sim.network import Message, NodeId, TransportCore
 
 
-class LiveTransport:
-    """The simulator Transport's seam, over real connections."""
+class LiveTransport(TransportCore):
+    """The daemon's transport: charged hops travel as wire frames."""
 
     def __init__(self, clock, router):
+        super().__init__()
         self._clock = clock
         self._router = router
-        self._handlers: Dict[NodeId, MessageHandler] = {}
-        self._receivers: Dict[NodeId, Callable] = {}
-        self._send_observers: List[SendObserver] = []
-        self._hop_collector = None
-        self.sent = 0
-        self.sent_direct = 0
-        self.delivered = 0
-        self.dropped = 0
         #: Frames that arrived off the wire for this process (offered by
         #: a *remote* sender's counters; see module docstring).
         self.received = 0
-        # Fault counters exist for seam parity and the checker's
-        # conservation arithmetic; a live TCP transport never loses,
-        # duplicates or reorders within a connection.
-        self.blocked = 0
-        self.lost = 0
-        self.duplicated = 0
-        self.reordered = 0
-
-    # ------------------------------------------------------------------
-    # Registry
-    # ------------------------------------------------------------------
-
-    def register(self, node_id: NodeId, handler: MessageHandler) -> None:
-        self._handlers[node_id] = handler
-        self._receivers[node_id] = handler.receive
-
-    def unregister(self, node_id: NodeId) -> None:
-        self._handlers.pop(node_id, None)
-        self._receivers.pop(node_id, None)
 
     def is_registered(self, node_id: NodeId) -> bool:
         """Local handler, or a live peer of the cluster."""
         return node_id in self._handlers or self._router.is_peer(node_id)
 
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-
-    def add_send_observer(self, observer: SendObserver) -> None:
-        self._send_observers.append(observer)
-
-    def attach_metrics(self, collector) -> None:
-        if self._hop_collector is not None:
-            raise RuntimeError("a metrics collector is already attached")
-        self._hop_collector = collector
-
-    # ------------------------------------------------------------------
-    # Sending (overlay hops)
-    # ------------------------------------------------------------------
-
-    def _count_hop(self, message: Message, count: int = 1) -> None:
-        collector = self._hop_collector
-        if collector is None:
-            return
-        kind = message.kind
-        if kind == "update":
-            collector._update_hops[message.update_type] += count
-        elif kind == "query":
-            collector.query_hops += count
-        elif kind == "clear_bit":
-            collector.clear_bit_hops += count
-
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        if src == dst:
-            raise ValueError(f"node {src!r} attempted to send to itself")
-        self.sent += 1
-        message.hops += 1
-        self._count_hop(message)
-        for observer in self._send_observers:
-            observer(src, dst, message)
-        self._dispatch(src, dst, message, direct=False)
+        self._charge(src, dst, message)
+        self._dispatch(src, dst, message, False)
 
     def send_fanout(self, src: NodeId, dsts, message: Message) -> None:
-        count = len(dsts)
-        self.sent += count
-        hops = message.hops + 1
-        self._count_hop(message, count)
-        fork = message.fork
         for dst in dsts:
-            envelope = fork()
-            envelope.hops = hops
-            for observer in self._send_observers:
-                observer(src, dst, envelope)
-            self._dispatch(src, dst, envelope, direct=False)
+            self.send(src, dst, message.fork())
 
     def send_direct(self, dst: NodeId, message: Message, delay: float = 0.0,
                     src: NodeId = None) -> None:
@@ -137,41 +68,22 @@ class LiveTransport:
             self._clock.schedule(delay, self._dispatch, src, dst, message,
                                  True)
         else:
-            self._dispatch(src, dst, message, direct=True)
+            self._dispatch(src, dst, message, True)
 
     def _dispatch(self, src: NodeId, dst: NodeId, message: Message,
                   direct: bool) -> None:
         if dst in self._receivers:
             # In-process destination: defer one loop turn so a handler
             # never re-enters from inside the sending handler's frame.
-            self._router.call_soon(self._deliver_local, src, dst, message)
-            return
-        if not self._router.send_wire(src, dst, message, direct):
+            self._router.call_soon(self._hand_over, src, dst, message)
+        elif not self._router.send_wire(src, dst, message, direct):
             self.dropped += 1
-
-    # ------------------------------------------------------------------
-    # Delivery (loopback and wire-inbound)
-    # ------------------------------------------------------------------
-
-    def _deliver_local(self, src: NodeId, dst: NodeId,
-                       message: Message) -> None:
-        receive = self._receivers.get(dst)
-        if receive is None:
-            self.dropped += 1
-            return
-        self.delivered += 1
-        receive(message, src)
 
     def deliver_wire(self, src: Optional[NodeId], dst: NodeId,
                      message: Message) -> None:
         """Hand a frame that arrived off the wire to its local handler."""
         self.received += 1
-        receive = self._receivers.get(dst)
-        if receive is None:
-            self.dropped += 1
-            return
-        self.delivered += 1
-        receive(message, src)
+        self._hand_over(src, dst, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,14 +7,12 @@ Every frame on a live connection is::
     |  4 bytes, !I   | 1 byte    |  `length` bytes  |
     +----------------+-----------+------------------+
 
-The payload is one JSON object (codec tag 1) or one msgpack map (codec
-tag 2, registered only when the optional ``msgpack`` package is
-importable — the protocol needs no negotiation because every frame
-carries its own tag).  Lengths are big-endian and bounded by
-:data:`MAX_FRAME_BYTES`; a decoder seeing a longer length, or an unknown
-codec tag, raises :class:`WireError` as soon as the 5-byte header is
-complete — garbage prefixes are detected before the peer can make us
-buffer an arbitrary amount.
+The payload is one JSON object; the tag byte is always
+:data:`CODEC_JSON` and doubles as a cheap corruption check.  Lengths are
+big-endian and bounded by :data:`MAX_FRAME_BYTES`; a decoder seeing a
+longer length, or any other tag, raises :class:`WireError` as soon as
+the 5-byte header is complete — garbage prefixes are detected before
+the peer can make us buffer an arbitrary amount.
 
 On top of framing, this module maps every message family of
 :mod:`repro.core.messages` (plus the keep-alive heartbeat) to and from
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.entry import IndexEntry
 from repro.core.keepalive import KeepAliveMessage
@@ -45,11 +43,6 @@ from repro.core.messages import (
 )
 from repro.sim.network import Message
 
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - the common container
-    msgpack = None
-
 _HEADER = struct.Struct("!IB")
 HEADER_BYTES = _HEADER.size
 
@@ -63,46 +56,8 @@ class WireError(RuntimeError):
     """Malformed frame, unknown codec, or undecodable message."""
 
 
-# ----------------------------------------------------------------------
-# Codecs
-# ----------------------------------------------------------------------
-
+#: The one payload encoding: a UTF-8 JSON object.
 CODEC_JSON = 1
-CODEC_MSGPACK = 2
-
-
-def _json_encode(obj: dict) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
-
-
-def _json_decode(payload: bytes) -> dict:
-    return json.loads(payload.decode("utf-8"))
-
-
-_ENCODERS: Dict[int, Callable[[dict], bytes]] = {CODEC_JSON: _json_encode}
-_DECODERS: Dict[int, Callable[[bytes], dict]] = {CODEC_JSON: _json_decode}
-_CODEC_IDS: Dict[str, int] = {"json": CODEC_JSON}
-
-if msgpack is not None:  # pragma: no cover - optional dependency
-    _ENCODERS[CODEC_MSGPACK] = lambda obj: msgpack.packb(obj)
-    _DECODERS[CODEC_MSGPACK] = lambda payload: msgpack.unpackb(payload)
-    _CODEC_IDS["msgpack"] = CODEC_MSGPACK
-
-
-def available_codecs() -> Tuple[str, ...]:
-    """Codec names encodable in this process (``json`` always)."""
-    return tuple(sorted(_CODEC_IDS))
-
-
-def resolve_codec(name: str) -> int:
-    """Codec name -> wire tag; raises :class:`WireError` when absent."""
-    try:
-        return _CODEC_IDS[name]
-    except KeyError:
-        raise WireError(
-            f"codec {name!r} is not available (have: "
-            f"{', '.join(available_codecs())})"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -110,16 +65,15 @@ def resolve_codec(name: str) -> int:
 # ----------------------------------------------------------------------
 
 
-def encode_frame(obj: dict, codec: str = "json") -> bytes:
+def encode_frame(obj: dict) -> bytes:
     """One complete frame: header + encoded payload."""
-    tag = resolve_codec(codec)
-    payload = _ENCODERS[tag](obj)
+    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
-    return _HEADER.pack(len(payload), tag) + payload
+    return _HEADER.pack(len(payload), CODEC_JSON) + payload
 
 
 class FrameDecoder:
@@ -161,16 +115,15 @@ class FrameDecoder:
                     f"frame length {length} exceeds the "
                     f"{self._max_frame}-byte limit (corrupt stream?)"
                 )
-            decoder = _DECODERS.get(tag)
-            if decoder is None:
+            if tag != CODEC_JSON:
                 raise WireError(f"unknown codec tag {tag} (corrupt stream?)")
             if len(buffer) < HEADER_BYTES + length:
                 return frames
             payload = bytes(buffer[HEADER_BYTES:HEADER_BYTES + length])
             del buffer[:HEADER_BYTES + length]
             try:
-                obj = decoder(payload)
-            except Exception as exc:
+                obj = json.loads(payload.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
                 raise WireError(
                     f"undecodable frame payload ({exc})"
                 ) from exc

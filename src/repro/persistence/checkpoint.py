@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.protocol import CupNetwork
 
 MAGIC = b"CUPCKPT\n"
+#: Version of the container (:func:`pack`), shared by every file kind.
 FORMAT_VERSION = 1
 
 #: Auto-checkpoint cadence when a path is configured without one:
@@ -68,40 +69,22 @@ class FingerprintMismatch(CheckpointError):
 
 
 # ----------------------------------------------------------------------
-# Snapshot / restore (bytes)
+# The container: magic + one-line JSON header + pickle, written atomically
 # ----------------------------------------------------------------------
 
 
-def snapshot_network(network: "CupNetwork") -> bytes:
-    """Serialize the complete deterministic state of ``network``.
+def pack(magic: bytes, header: dict, obj) -> bytes:
+    """One blob: ``magic``, a sorted-keys JSON header line, ``obj`` pickled.
 
-    Safe at any instant outside an event handler — including between
-    the chunks of an auto-checkpointed run.  Snapshotting never mutates
-    the simulation: no events are consumed, no streams advance.
+    The format version and the code fingerprint are stamped here, so
+    every file this package writes carries both load gates.
     """
-    sim = network.sim
-    # A snapshot taken while the engine loop is (or appears) live must
-    # not freeze ``_running=True`` into the restored object, where it
-    # would make the first resumed run_until die as "not reentrant".
-    was_running = sim._running
-    sim._running = False
-    try:
-        payload = pickle.dumps(network, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        sim._running = was_running
-    header = {
-        "format": FORMAT_VERSION,
-        "fingerprint": runcache.code_fingerprint(),
-        "sim_now": sim.now,
-        "sim_end": network.config.sim_end,
-        "events_processed": sim.events_processed,
-        "pending_events": sim.pending,
-        "num_nodes": len(network.nodes),
-        "mode": network.config.mode,
-        "seed": network.config.seed,
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + head + b"\n" + payload
+    stamped = dict(
+        header, format=FORMAT_VERSION, fingerprint=runcache.code_fingerprint()
+    )
+    head = json.dumps(stamped, sort_keys=True).encode("utf-8")
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return magic + head + b"\n" + payload
 
 
 def _describe(path) -> str:
@@ -109,8 +92,7 @@ def _describe(path) -> str:
     return f" in {os.fspath(path)}" if path is not None else ""
 
 
-def _split(blob: bytes, path=None, magic: bytes = MAGIC,
-           kind: str = "checkpoint"):
+def _split(blob: bytes, magic: bytes, kind: str, path=None):
     where = _describe(path)
     if not blob.startswith(magic):
         raise CheckpointFormatError(
@@ -119,7 +101,7 @@ def _split(blob: bytes, path=None, magic: bytes = MAGIC,
     end = blob.find(b"\n", len(magic))
     if end < 0:
         # Either the file was truncated inside the header line, or the
-        # header exceeds the reader's buffer (checkpoint_info peeks a
+        # header exceeds the reader's buffer (peek_header reads a
         # bounded prefix) — both used to surface as a bare ValueError.
         raise CheckpointFormatError(
             f"corrupt {kind}{where}: no header terminator within "
@@ -140,22 +122,19 @@ def _split(blob: bytes, path=None, magic: bytes = MAGIC,
     return header, blob[end + 1:]
 
 
-def restore_network(
-    blob: bytes, verify_fingerprint: bool = True, path=None
-) -> "CupNetwork":
-    """Reconstruct the network a :func:`snapshot_network` blob captured.
+def unpack(blob: bytes, magic: bytes, kind: str,
+           verify_fingerprint: bool = True, path=None):
+    """Inverse of :func:`pack` with the load gates applied.
 
-    The restored network is fully independent of the original (tearing
-    the original down — or the process that held it dying — loses
-    nothing) and continues deterministically: ``run()`` picks up at the
-    snapshot's clock without re-beginning the workload.
+    Returns ``(header, obj)``.  ``kind`` names the file type in error
+    messages; ``path``, when known, is named too.
     """
-    header, payload = _split(blob, path=path)
+    header, payload = _split(blob, magic, kind, path)
     where = _describe(path)
     version = header.get("format")
     if version != FORMAT_VERSION:
         raise CheckpointFormatError(
-            f"checkpoint format {version!r}{where} is not supported "
+            f"{kind} format {version!r}{where} is not supported "
             f"(this code reads format {FORMAT_VERSION})"
         )
     if verify_fingerprint:
@@ -163,29 +142,29 @@ def restore_network(
         stamped = header.get("fingerprint")
         if stamped != current:
             raise FingerprintMismatch(
-                "checkpoint was written by different simulation code "
-                f"(fingerprint {stamped} != current {current}); resuming "
-                "would splice two code versions into one run"
+                f"{kind} was written by different code (fingerprint "
+                f"{stamped} != current {current}); loading it would "
+                "splice two code versions into one run"
             )
     try:
-        network = pickle.loads(payload)
+        obj = pickle.loads(payload)
     except (pickle.UnpicklingError, EOFError, ValueError,
             AttributeError, ImportError, IndexError) as exc:
         # A truncated or bit-rotted payload surfaces as any of these
         # depending on where the stream breaks; all of them mean the
         # same thing to a caller: this file is not restorable.
         raise CheckpointFormatError(
-            f"corrupt checkpoint payload{where}: "
+            f"corrupt {kind} payload{where}: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    # Belt and braces: never trust a serialized loop flag.
-    network.sim._running = False
-    return network
+    return header, obj
 
 
-# ----------------------------------------------------------------------
-# Files
-# ----------------------------------------------------------------------
+def peek_header(path, magic: bytes, kind: str) -> dict:
+    """The header of the file at ``path``, without unpickling anything."""
+    with open(path, "rb") as handle:
+        blob = handle.read(1 << 16)
+    return _split(blob, magic, kind, path)[0]
 
 
 def atomic_write(path, blob: bytes, prefix: str = ".checkpoint-") -> str:
@@ -211,6 +190,55 @@ def atomic_write(path, blob: bytes, prefix: str = ".checkpoint-") -> str:
     return path
 
 
+# ----------------------------------------------------------------------
+# Simulation checkpoints
+# ----------------------------------------------------------------------
+
+
+def snapshot_network(network: "CupNetwork") -> bytes:
+    """Serialize the complete deterministic state of ``network``.
+
+    Safe at any instant outside an event handler — including between
+    the chunks of an auto-checkpointed run.  Snapshotting never mutates
+    the simulation: no events are consumed, no streams advance.
+    """
+    sim = network.sim
+    header = {
+        "sim_now": sim.now,
+        "sim_end": network.config.sim_end,
+        "events_processed": sim.events_processed,
+        "pending_events": sim.pending,
+        "num_nodes": len(network.nodes),
+        "mode": network.config.mode,
+        "seed": network.config.seed,
+    }
+    # A snapshot taken while the engine loop is (or appears) live must
+    # not freeze ``_running=True`` into the restored object, where it
+    # would make the first resumed run_until die as "not reentrant".
+    was_running = sim._running
+    sim._running = False
+    try:
+        return pack(MAGIC, header, network)
+    finally:
+        sim._running = was_running
+
+
+def restore_network(
+    blob: bytes, verify_fingerprint: bool = True, path=None
+) -> "CupNetwork":
+    """Reconstruct the network a :func:`snapshot_network` blob captured.
+
+    The restored network is fully independent of the original (tearing
+    the original down — or the process that held it dying — loses
+    nothing) and continues deterministically: ``run()`` picks up at the
+    snapshot's clock without re-beginning the workload.
+    """
+    _, network = unpack(blob, MAGIC, "checkpoint", verify_fingerprint, path)
+    # Belt and braces: never trust a serialized loop flag.
+    network.sim._running = False
+    return network
+
+
 def save_checkpoint(network: "CupNetwork", path) -> str:
     """Write a checkpoint of ``network`` to ``path`` atomically."""
     return atomic_write(path, snapshot_network(network))
@@ -232,10 +260,7 @@ def checkpoint_info(path) -> dict:
     clock position, node count — enough to decide whether a resume is
     possible before committing to the full load.
     """
-    with open(path, "rb") as handle:
-        blob = handle.read(1 << 16)
-    header, _ = _split(blob, path=path)
-    return header
+    return peek_header(path, MAGIC, "checkpoint")
 
 
 # ----------------------------------------------------------------------

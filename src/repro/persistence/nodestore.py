@@ -10,11 +10,12 @@ the same discipline:
   :func:`~repro.persistence.checkpoint.atomic_write` (temp file +
   ``os.replace``), so ``<state-dir>/node.state`` always holds the last
   *complete* snapshot; a ``kill -9`` mid-write cannot corrupt it.
-* **Format + fingerprint gates.**  The blob is a one-line JSON header
-  (format version, :func:`repro.experiments.runcache.code_fingerprint`,
-  node identity) followed by a pickle payload; loads fail loudly on
-  version skew, fingerprint skew, or a state file that belongs to a
-  different node identity or mode — the existing
+* **Format + fingerprint gates.**  The blob is the checkpoint layer's
+  container (:func:`~repro.persistence.checkpoint.pack`: a one-line
+  JSON header stamped with format version and code fingerprint, then a
+  pickle payload) carrying the node identity in its header; loads fail
+  loudly on version skew, fingerprint skew, or a state file that
+  belongs to a different node identity or mode — the existing
   :class:`~repro.persistence.checkpoint.CheckpointFormatError` /
   :class:`~repro.persistence.checkpoint.FingerprintMismatch` hierarchy.
 
@@ -45,21 +46,19 @@ nobody owes it.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import pickle
 from typing import Optional, Tuple
 
-from repro.experiments import runcache
 from repro.persistence.checkpoint import (
     CheckpointFormatError,
-    FingerprintMismatch,
-    _split,
     atomic_write,
+    pack,
+    peek_header,
+    unpack,
 )
 
 MAGIC = b"CUPNODE\n"
-FORMAT_VERSION = 1
+_KIND = "node state"
 
 #: The single state file inside a node's ``--state-dir``.
 STATE_FILENAME = "node.state"
@@ -139,57 +138,29 @@ def sanitize_restored(state: NodeState, now: float) -> int:
 
 
 # ----------------------------------------------------------------------
-# Blob format (header + pickle, as the PR-8 checkpoint layer)
+# Blob format (the checkpoint container with a CUPNODE header)
 # ----------------------------------------------------------------------
 
 
 def state_to_blob(state: NodeState) -> bytes:
     """Serialize one :class:`NodeState` with the CUPNODE header."""
-    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     header = {
-        "format": FORMAT_VERSION,
-        "fingerprint": runcache.code_fingerprint(),
         "node_id": state.node_id,
         "mode": state.mode,
         "saved_at": state.saved_at,
         "members": len(state.members),
         "keys": len(state.cache.states),
     }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC + head + b"\n" + payload
+    return pack(MAGIC, header, state)
 
 
 def state_from_blob(
     blob: bytes, verify_fingerprint: bool = True, path=None
 ) -> NodeState:
     """Inverse of :func:`state_to_blob`, with the load gates applied."""
-    header, payload = _split(blob, path=path, magic=MAGIC,
-                             kind="node state file")
-    where = f" in {os.fspath(path)}" if path is not None else ""
-    version = header.get("format")
-    if version != FORMAT_VERSION:
-        raise CheckpointFormatError(
-            f"node state format {version!r}{where} is not supported "
-            f"(this code reads format {FORMAT_VERSION})"
-        )
-    if verify_fingerprint:
-        current = runcache.code_fingerprint()
-        stamped = header.get("fingerprint")
-        if stamped != current:
-            raise FingerprintMismatch(
-                "node state was written by different code "
-                f"(fingerprint {stamped} != current {current}); a warm "
-                "rejoin would splice two code versions into one node"
-            )
-    try:
-        state = pickle.loads(payload)
-    except (pickle.UnpicklingError, EOFError, ValueError,
-            AttributeError, ImportError, IndexError) as exc:
-        raise CheckpointFormatError(
-            f"corrupt node state payload{where}: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
+    _, state = unpack(blob, MAGIC, _KIND, verify_fingerprint, path)
     if not isinstance(state, NodeState):
+        where = f" in {os.fspath(path)}" if path is not None else ""
         raise CheckpointFormatError(
             f"node state payload{where} is a "
             f"{type(state).__name__}, not a NodeState"
@@ -263,8 +234,4 @@ class NodeStore:
         """The stored header without unpickling the payload (or None)."""
         if not self.exists():
             return None
-        with open(self.path, "rb") as handle:
-            blob = handle.read(1 << 16)
-        header, _ = _split(blob, path=self.path, magic=MAGIC,
-                           kind="node state file")
-        return header
+        return peek_header(self.path, MAGIC, _KIND)

@@ -144,8 +144,116 @@ class Link:
         return f"Link({self.a!r}, {self.b!r}, delay={self.delay})"
 
 
-class Transport:
-    """Registry of nodes and links; schedules message deliveries.
+class TransportCore:
+    """Accounting and delivery shared by the simulator and the daemon.
+
+    The paper's evaluation currency is the overlay hop, so the code that
+    charges one exists exactly once: :meth:`_charge`.  A concrete
+    transport adds only how a charged message travels — scheduled over
+    simulated links (:class:`Transport`) or framed onto a TCP connection
+    (:class:`~repro.net.transport.LiveTransport`) — and ends every
+    journey in :meth:`_hand_over`.
+
+    Messages to unregistered destinations are silently dropped and counted
+    in :attr:`dropped`; this models delivery to a node that departed while
+    the message was in flight.
+    """
+
+    def __init__(self) -> None:
+        self._handlers: Dict[NodeId, MessageHandler] = {}
+        # Bound ``receive`` methods, maintained alongside _handlers: the
+        # delivery hot path calls straight into the handler without a
+        # per-delivery attribute lookup and method bind.
+        self._receivers: Dict[NodeId, Callable] = {}
+        self._send_observers: List[SendObserver] = []
+        # The standard metrics collector, when attached via
+        # attach_metrics(): its hop counters are incremented inline on
+        # the send path instead of through a Python observer call per
+        # hop.  Extra observers (invariant checkers, test probes) still
+        # go through the _send_observers list.
+        self._hop_collector = None
+        self.sent = 0
+        self.sent_direct = 0
+        self.delivered = 0
+        self.dropped = 0
+        # Fault outcomes.  Only the simulator injects faults; the
+        # counters live here because the invariant checker's
+        # conservation audit reads them off either transport.
+        self.blocked = 0
+        self.lost = 0
+        self.duplicated = 0
+        self.reordered = 0
+
+    def register(self, node_id: NodeId, handler: MessageHandler) -> None:
+        """Attach a node.  Re-registering an id replaces its handler."""
+        self._handlers[node_id] = handler
+        self._receivers[node_id] = handler.receive
+
+    def unregister(self, node_id: NodeId) -> None:
+        """Detach a node; in-flight messages to it will be dropped."""
+        self._handlers.pop(node_id, None)
+        self._receivers.pop(node_id, None)
+
+    def is_registered(self, node_id: NodeId) -> bool:
+        """Whether ``node_id`` currently has a handler attached."""
+        return node_id in self._handlers
+
+    def add_send_observer(self, observer: SendObserver) -> None:
+        """Register a callback invoked on every overlay-hop send.
+
+        Observers fire at *send* time (before propagation delay), once per
+        hop, which is exactly the paper's hop-count accounting.
+        """
+        self._send_observers.append(observer)
+
+    def attach_metrics(self, collector) -> None:
+        """Wire the standard metrics collector's hop accounting inline.
+
+        Counts the same hops, at the same instant, as
+        ``add_send_observer(collector.on_send)`` would — but through
+        direct counter increments on the send path rather than a Python
+        call per hop.  At most one collector can be attached this way;
+        anything else observing sends uses :meth:`add_send_observer`.
+        """
+        if self._hop_collector is not None:
+            raise RuntimeError("a metrics collector is already attached")
+        self._hop_collector = collector
+
+    def _charge(self, src: NodeId, dst: NodeId, message: Message) -> None:
+        """Account for one overlay hop, at send time.
+
+        The hop is counted (observers fire) before anything can drop the
+        message, and even if the destination later turns out to have
+        departed — bandwidth was spent either way.
+        """
+        if src == dst:
+            raise ValueError(f"node {src!r} attempted to send to itself")
+        self.sent += 1
+        message.hops += 1
+        collector = self._hop_collector
+        if collector is not None:
+            kind = message.kind
+            if kind == "update":
+                collector._update_hops[message.update_type] += 1
+            elif kind == "query":
+                collector.query_hops += 1
+            elif kind == "clear_bit":
+                collector.clear_bit_hops += 1
+        for observer in self._send_observers:
+            observer(src, dst, message)
+
+    def _hand_over(self, src: NodeId, dst: NodeId, message: Message) -> None:
+        """End of a journey: the receiver's handler, or a counted drop."""
+        receive = self._receivers.get(dst)
+        if receive is None:
+            self.dropped += 1
+            return
+        self.delivered += 1
+        receive(message, src)
+
+
+class Transport(TransportCore):
+    """The simulator's transport: links, fault rules, scheduled delivery.
 
     Parameters
     ----------
@@ -156,35 +264,18 @@ class Transport:
         and to sends between endpoints with no registered link (overlays
         that route by identifier, like Chord fingers, do not pre-register
         every edge).
-
-    Notes
-    -----
-    Messages to unregistered destinations are silently dropped and counted
-    in :attr:`dropped`; this models delivery to a node that departed while
-    the message was in flight.
     """
 
     def __init__(self, sim: Simulator, default_delay: float = 0.05):
         if default_delay < 0:
             raise ValueError(f"negative default delay: {default_delay}")
+        super().__init__()
         self._sim = sim
         self.default_delay = default_delay
-        self._handlers: Dict[NodeId, MessageHandler] = {}
-        # Bound ``receive`` methods, maintained alongside _handlers: the
-        # delivery hot path calls straight into the handler without a
-        # per-delivery attribute lookup and method bind.
-        self._receivers: Dict[NodeId, Callable] = {}
         # Directed delay registry: every registered link stores *both*
         # ``(a, b)`` and ``(b, a)``, so the send hot path is a single
         # dict probe — no Link construction, no canonicalization.
         self._delays: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._send_observers: List[SendObserver] = []
-        # The standard metrics collector, when attached via
-        # attach_metrics(): its hop counters are incremented inline on
-        # the send path instead of through a Python observer call per
-        # hop.  Extra observers (invariant checkers, test probes) still
-        # go through the _send_observers list.
-        self._hop_collector = None
         # Drop/heal rule layer (partitions, lossy links): rules are
         # consulted on every overlay-hop send while any is installed;
         # the registry is empty in the common case so the hot path pays
@@ -200,36 +291,18 @@ class Transport:
         # an earlier one on the same link is a reorder.
         self._arrival_high: Dict[Tuple[NodeId, NodeId], float] = {}
         self._rule_ids = itertools.count()
-        self.sent = 0
-        self.sent_direct = 0
-        self.delivered = 0
-        self.dropped = 0
-        self.blocked = 0
-        self.lost = 0
-        self.duplicated = 0
-        self.reordered = 0
 
     # ------------------------------------------------------------------
     # Topology management
     # ------------------------------------------------------------------
 
-    def register(self, node_id: NodeId, handler: MessageHandler) -> None:
-        """Attach a node.  Re-registering an id replaces its handler."""
-        self._handlers[node_id] = handler
-        self._receivers[node_id] = handler.receive
-
     def unregister(self, node_id: NodeId) -> None:
-        """Detach a node; in-flight messages to it will be dropped."""
-        self._handlers.pop(node_id, None)
-        self._receivers.pop(node_id, None)
+        """Detach a node and its links; in-flight messages to it drop."""
+        super().unregister(node_id)
         stale = [key for key in self._delays
                  if key[0] == node_id or key[1] == node_id]
         for key in stale:
             del self._delays[key]
-
-    def is_registered(self, node_id: NodeId) -> bool:
-        """Whether ``node_id`` currently has a handler attached."""
-        return node_id in self._handlers
 
     def add_link(self, a: NodeId, b: NodeId, delay: Optional[float] = None) -> Link:
         """Create (or replace) the bidirectional link between ``a`` and ``b``."""
@@ -363,62 +436,12 @@ class Transport:
         return self.add_drop_rule(PartitionRule(side))
 
     # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-
-    def add_send_observer(self, observer: SendObserver) -> None:
-        """Register a callback invoked on every overlay-hop send.
-
-        Observers fire at *send* time (before propagation delay), once per
-        hop, which is exactly the paper's hop-count accounting.
-        """
-        self._send_observers.append(observer)
-
-    def attach_metrics(self, collector) -> None:
-        """Wire the standard metrics collector's hop accounting inline.
-
-        Counts the same hops, at the same instant, as
-        ``add_send_observer(collector.on_send)`` would — but through
-        direct counter increments on the send path rather than a Python
-        call per hop.  At most one collector can be attached this way;
-        anything else observing sends uses :meth:`add_send_observer`.
-        """
-        if self._hop_collector is not None:
-            raise RuntimeError("a metrics collector is already attached")
-        self._hop_collector = collector
-
-    # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
 
     def send(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        """Send ``message`` one overlay hop from ``src`` to ``dst``.
-
-        The hop is counted (observers fire) even if the destination later
-        turns out to have departed — bandwidth was spent either way.
-        """
-        if src == dst:
-            raise ValueError(f"node {src!r} attempted to send to itself")
-        self.sent += 1
-        message.hops += 1
-        collector = self._hop_collector
-        if collector is not None:
-            kind = message.kind
-            if kind == "update":
-                collector._update_hops[message.update_type] += 1
-            elif kind == "query":
-                collector.query_hops += 1
-            elif kind == "clear_bit":
-                collector.clear_bit_hops += 1
-        observers = self._send_observers
-        if observers:
-            # Nearly every run attaches at most one extra observer (an
-            # invariant checker); call it directly instead of looping.
-            if len(observers) == 1:
-                observers[0](src, dst, message)
-            else:
-                for observer in observers:
-                    observer(src, dst, message)
+        """Send ``message`` one overlay hop from ``src`` to ``dst``."""
+        self._charge(src, dst, message)
         if self._drop_rules:
             for rule in self._drop_rules.values():
                 if rule(src, dst, message):
@@ -432,124 +455,24 @@ class Transport:
             if copies == 0:
                 return
             for _ in range(copies - 1):
-                self._sim.schedule_hop(delay, self._deliver, (src, dst, message))
-        self._sim.schedule_hop(delay, self._deliver, (src, dst, message))
+                self._sim.schedule_hop(
+                    delay, self._hand_over, (src, dst, message)
+                )
+        self._sim.schedule_hop(delay, self._hand_over, (src, dst, message))
 
     def send_fanout(self, src: NodeId, dsts, message: Message) -> None:
         """Send one update to many direct neighbors (one hop each).
 
-        Semantically identical to ``message.fork()`` + :meth:`send` per
-        destination, performed back-to-back: every destination gets its
-        own envelope (so per-branch hop counters stay independent),
-        observers fire once per hop, and drop rules are consulted per
-        hop.  The fast path batches the k same-delay deliveries into one
-        scheduled event instead of k — :meth:`_deliver_many` preserves
-        the ``events_processed`` unit by counting one processed event
-        per delivered message, so throughput trajectories stay
-        comparable across the grouped and ungrouped paths.
-
-        Only safe between distinct endpoints (callers pass interest
-        sets, which never contain the sending node itself).
+        ``message.fork()`` + :meth:`send` per destination, back-to-back:
+        every destination gets its own envelope around the shared
+        payload (so per-branch hop counters stay independent), and
+        observers, drop rules and fault draws run once per recipient —
+        one blocked or lost destination neither leaks through nor blocks
+        its siblings.  Measured fan-out width is 1.03–1.12 (cupbench
+        traced runs), so there is nothing to batch.
         """
-        count = len(dsts)
-        self.sent += count
-        hops = message.hops + 1
-        collector = self._hop_collector
-        if collector is not None:
-            # Every envelope of the fan-out carries the same kind and
-            # update type, so the k per-hop increments collapse into one
-            # bulk add — identical totals, no per-child accounting.
-            kind = message.kind
-            if kind == "update":
-                collector._update_hops[message.update_type] += count
-            elif kind == "query":
-                collector.query_hops += count
-            elif kind == "clear_bit":
-                collector.clear_bit_hops += count
-        observers = self._send_observers
-        fork = message.fork
-        if not self._drop_rules and not self._delays and not self._fault_rules:
-            if count == 1:
-                # Chain hop (one interested child — the common shape of
-                # a propagation tree): skip the batch list entirely.
-                dst = dsts[0]
-                envelope = fork()
-                envelope.hops = hops
-                for observer in observers:
-                    observer(src, dst, envelope)
-                self._sim.schedule_hop(
-                    self.default_delay, self._deliver, (src, dst, envelope)
-                )
-                return
-            # Uniform-delay, rule-free overlay: one grouped delivery.
-            pairs = []
-            append = pairs.append
-            if observers:
-                for dst in dsts:
-                    envelope = fork()
-                    envelope.hops = hops
-                    for observer in observers:
-                        observer(src, dst, envelope)
-                    append((dst, envelope))
-            else:
-                for dst in dsts:
-                    envelope = fork()
-                    envelope.hops = hops
-                    append((dst, envelope))
-            self._sim.schedule_hop(
-                self.default_delay, self._deliver_many, (src, pairs)
-            )
-            return
-        # Per-link delays, drop rules, or fault rules installed: fall
-        # back to the per-destination schedule (still sharing the
-        # payload).  Rules and faults are evaluated per recipient — one
-        # blocked or lost destination neither leaks through nor blocks
-        # its siblings.
         for dst in dsts:
-            envelope = fork()
-            envelope.hops = hops
-            for observer in observers:
-                observer(src, dst, envelope)
-            blocked = False
-            for rule in self._drop_rules.values():
-                if rule(src, dst, envelope):
-                    self.blocked += 1
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            delay = self._delays.get((src, dst))
-            if delay is None:
-                delay = self.default_delay
-            if self._fault_rules:
-                copies, delay = self._apply_faults(src, dst, delay)
-                if copies == 0:
-                    continue
-                for _ in range(copies - 1):
-                    self._sim.schedule_hop(
-                        delay, self._deliver, (src, dst, envelope)
-                    )
-            self._sim.schedule_hop(delay, self._deliver, (src, dst, envelope))
-
-    def _deliver_many(self, src: NodeId, pairs) -> None:
-        """Grouped delivery of one fan-out batch (same instant, in order).
-
-        Equivalent to the per-destination delivery events it replaces:
-        consecutive sequence numbers would have made those fire
-        back-to-back anyway, and each destination's handler is looked up
-        at delivery time, so churn between send and delivery drops
-        exactly the messages it would have dropped hop by hop.
-        """
-        sim = self._sim
-        sim.events_processed += len(pairs) - 1
-        receivers = self._receivers
-        for dst, envelope in pairs:
-            receive = receivers.get(dst)
-            if receive is None:
-                self.dropped += 1
-            else:
-                self.delivered += 1
-                receive(envelope, src)
+            self.send(src, dst, message.fork())
 
     def send_direct(self, dst: NodeId, message: Message, delay: float = 0.0,
                     src: NodeId = None) -> None:
@@ -559,12 +482,4 @@ class Transport:
         the paper's cost model (§3.1 counts only query/update path hops).
         """
         self.sent_direct += 1
-        self._sim.schedule(delay, self._deliver, src, dst, message)
-
-    def _deliver(self, src: NodeId, dst: NodeId, message: Message) -> None:
-        receive = self._receivers.get(dst)
-        if receive is None:
-            self.dropped += 1
-            return
-        self.delivered += 1
-        receive(message, src)
+        self._sim.schedule(delay, self._hand_over, src, dst, message)

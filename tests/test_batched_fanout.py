@@ -1,27 +1,42 @@
-"""Batched fan-out ≡ per-child reference path.
+"""Transport fan-out ≡ per-child channel path.
 
-The batched update fan-out (one shared payload + k envelopes through a
-single transport call, grouped same-delay delivery) must be *observably
-identical* to the retained per-child path (`batched_fanout=False`): same
-``MetricsSummary``, same invariant-checker verdicts, same per-node cache
-state, same transport totals, and the same ``events_processed`` (grouped
-deliveries count one processed event per delivered message by design).
+A node at full capacity over a reliable transport hands its whole
+fan-out to ``transport.send_fanout`` (one shared payload, k envelopes);
+anything that can suppress, queue or stamp goes child by child through
+``channels.push``.  Which one runs is decided from node state, not by an
+option, so the referee forces the per-child path from outside: while
+:func:`per_child_path` is active every ``CapacityConfig`` reports a
+constraint, and ``channels.unlimited`` is False on every node.  The two
+must be *observably identical*: same ``MetricsSummary``, same
+invariant-checker verdicts, same per-node cache state, same transport
+totals, and the same ``events_processed``.
 
 Covered deterministically for every built-in scenario — churn,
 partitions, flash crowds, capacity faults and the perfect storm all
 composed in — and fuzzed by hypothesis over configs that exercise the
 rate pump and fractional capacity (where the per-child path is the only
-legal one) alongside full-capacity batching.
+legal one) alongside full-capacity fan-out.
 """
+
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.channels import CapacityConfig
 from repro.core.protocol import CupConfig, CupNetwork
 from repro.scenarios import SCENARIOS
 from repro.scenarios.dsl import default_base_config
 from repro.scenarios.runner import run_scenario
+
+
+def per_child_path(active: bool = True):
+    """While active, no node takes the transport fan-out path."""
+    if not active:
+        return nullcontext()
+    return mock.patch.object(CapacityConfig, "unlimited", lambda self: False)
 
 
 def _node_cache_state(net: CupNetwork) -> dict:
@@ -53,12 +68,13 @@ def _transport_totals(net: CupNetwork) -> tuple:
 
 
 def _run_config_both_paths(config: CupConfig):
-    batched = CupNetwork(config.variant(batched_fanout=True))
-    reference = CupNetwork(config.variant(batched_fanout=False))
-    return (
-        (batched, batched.run()),
-        (reference, reference.run()),
-    )
+    batched = CupNetwork(config)
+    batched_summary = batched.run()
+    with per_child_path():
+        reference = CupNetwork(config)
+        reference_summary = reference.run()
+    assert not any(n.channels.unlimited for n in reference.nodes.values())
+    return (batched, batched_summary), (reference, reference_summary)
 
 
 def _assert_equivalent(batched_pair, reference_pair):
@@ -91,7 +107,7 @@ class TestDeterministicEquivalence:
         _assert_equivalent(*_run_config_both_paths(config))
 
     def test_rate_limited_channels(self):
-        # The pump path never batches; both flags must still agree.
+        # The pump path is per-child either way; both must still agree.
         config = BASE.variant(capacity_rate=5.0)
         _assert_equivalent(*_run_config_both_paths(config))
 
@@ -107,6 +123,15 @@ class TestDeterministicEquivalence:
     def test_standard_caching_baseline(self):
         config = BASE.variant(mode="standard")
         _assert_equivalent(*_run_config_both_paths(config))
+
+    def test_recovery_layer_over_a_fault_free_transport(self):
+        # Recovery forces the per-child path by itself (hop_seq stamping
+        # happens at transmit time); with nothing lost it must not show.
+        default = CupNetwork(BASE)
+        stamped = CupNetwork(BASE.variant(reliable_transport=False))
+        _assert_equivalent(
+            (default, default.run()), (stamped, stamped.run())
+        )
 
     @pytest.mark.parametrize("overlay_type", ["chord", "pastry"])
     def test_other_overlays(self, overlay_type):
@@ -128,15 +153,14 @@ class TestScenarioEquivalence:
         scenario = SCENARIOS[name]
         results = {}
         for batched in (True, False):
-            result = run_scenario(
-                scenario,
-                seed=42,
-                invariants=True,
-                raise_on_violation=False,
-                base_config=default_base_config().variant(
-                    batched_fanout=batched
-                ),
-            )
+            with per_child_path(not batched):
+                result = run_scenario(
+                    scenario,
+                    seed=42,
+                    invariants=True,
+                    raise_on_violation=False,
+                    base_config=default_base_config(),
+                )
             assert result.ok, (name, batched, result.violations)
             results[batched] = result
         assert results[True].summary == results[False].summary
@@ -180,20 +204,23 @@ def test_batched_equals_reference_fuzz(
 
 
 class TestFaultedFanoutEquivalence:
-    """Per-recipient fault evaluation is identical in both fan-out modes.
+    """Per-recipient fault evaluation is identical on both fan-out paths.
 
-    With a ``LinkFaults`` rule installed the batched path must abandon
-    grouped delivery and make one independent loss/duplicate/jitter draw
-    per child — the same draws, in the same stream order, as the
-    per-child reference path.  A single whole-batch decision (or a
-    different draw order) would diverge immediately: the seeded fault
-    stream is consumed once per recipient.
+    With a ``LinkFaults`` rule installed the transport fan-out makes one
+    independent loss/duplicate/jitter draw per child — the same draws,
+    in the same stream order, as the per-child reference path.  A single
+    whole-batch decision (or a different draw order) would diverge
+    immediately: the seeded fault stream is consumed once per recipient.
     """
 
     def _faulted_run(self, batched: bool):
+        with per_child_path(not batched):
+            return self._run_with_faults()
+
+    def _run_with_faults(self):
         from repro.sim.network import LinkFaults
 
-        config = BASE.variant(batched_fanout=batched, seed=23)
+        config = BASE.variant(seed=23)
         net = CupNetwork(config)
         handle = {}
 

@@ -162,7 +162,6 @@ class TestNodeCommands:
         assert args.port == 9400
         assert args.mode == "cup"
         assert args.policy == "second-chance"
-        assert args.codec == "json"
         assert not args.no_invariants
         assert not args.no_recovery
 

@@ -50,14 +50,6 @@ class TestCanMemoization:
             overlay.add_first_node("b")
 
 
-class TestCapacityHelpers:
-    def test_monotone_rev_helper(self):
-        from repro.experiments.capacity import monotone_nonincreasing_rev
-
-        assert monotone_nonincreasing_rev([10, 8, 8, 3])
-        assert not monotone_nonincreasing_rev([3, 10])
-
-
 class TestCliRunAll:
     def test_run_all_tiny(self, capsys):
         from repro.cli import main

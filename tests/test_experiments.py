@@ -10,7 +10,11 @@ from repro.experiments.base import (
     monotone_nondecreasing,
     monotone_nonincreasing,
 )
-from repro.experiments.capacity import run_capacity, run_with_faults
+from repro.experiments.capacity import (
+    monotone_nonincreasing_rev,
+    run_capacity,
+    run_with_faults,
+)
 from repro.experiments.config import TINY, resolve_scale
 from repro.experiments.cutoff_policies import run_cutoff_policies
 from repro.experiments.network_size import run_network_size
@@ -82,6 +86,10 @@ class TestMonotoneHelpers:
     def test_nondecreasing(self):
         assert monotone_nondecreasing([1.0, 2.0, 1.95, 3.0])
         assert not monotone_nondecreasing([5.0, 2.0])
+
+    def test_capacity_rev_helper(self):
+        assert monotone_nonincreasing_rev([10, 8, 8, 3])
+        assert not monotone_nonincreasing_rev([3, 10])
 
 
 class TestPushLevelHarness:

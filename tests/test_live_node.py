@@ -11,22 +11,28 @@ import time
 
 import pytest
 
+from repro.core.entry import IndexEntry
+from repro.core.keepalive import KeepAliveMessage
+from repro.core.messages import (
+    ClearBitMessage,
+    QueryMessage,
+    ReplicaEvent,
+    ReplicaMessage,
+    UpdateMessage,
+    UpdateType,
+)
+from repro.metrics.collector import MetricsCollector
 from repro.net.clock import LiveClock
 from repro.net.daemon import LiveNode, LiveNodeConfig
-from repro.net.seam import (
-    conforming,
-    missing_clock_api,
-    missing_router_methods,
-    missing_transport_methods,
-)
+from repro.net.seam import missing_clock_api, missing_router_methods
 from repro.net.transport import LiveTransport
 from repro.net.wire import FrameDecoder, encode_frame
 from repro.sim.engine import Simulator
-from repro.sim.network import Transport
+from repro.sim.network import Transport, TransportCore
 
 
 # ----------------------------------------------------------------------
-# Seam conformance: both worlds provide the surface core/ consumes
+# The seam: one hop ledger, and the surface core/ consumes, in both worlds
 # ----------------------------------------------------------------------
 
 
@@ -41,12 +47,90 @@ class _NullRouter:
         fn(*args)
 
 
-def test_transport_seam_conformance_both_worlds():
+class _Recorder:
+    def __init__(self, log, me):
+        self.log, self.me = log, me
+
+    def receive(self, message, sender):
+        self.log.append((self.me, sender, message.kind, message.hops))
+
+
+def _drive_ledger(transport, settle):
+    """One fixed message sequence; returns everything the ledger shows."""
+    collector = MetricsCollector()
+    transport.attach_metrics(collector)
+    observed, received = [], []
+    for tag in ("first", "second"):
+        transport.add_send_observer(
+            lambda src, dst, message, tag=tag: observed.append((
+                tag, src, dst, message.kind,
+                getattr(message, "update_type", None), message.hops,
+            ))
+        )
+    for node_id in ("b", "c", "d"):
+        transport.register(node_id, _Recorder(received, node_id))
+
+    def update(update_type):
+        entry = IndexEntry("k", "r1", "addr", 300.0, 0.0)
+        return UpdateMessage("k", update_type, (entry,), "r1", 0.0)
+
+    transport.send("a", "b", QueryMessage("k"))
+    for update_type in UpdateType:
+        transport.send("a", "b", update(update_type))
+    transport.send("a", "b", ClearBitMessage("k"))
+    transport.send("a", "b", KeepAliveMessage())
+    relayed = update(UpdateType.REFRESH)
+    relayed.hops = 2
+    transport.send_fanout("a", ("b", "c", "d"), relayed)
+    transport.send("a", "ghost", QueryMessage("k"))
+    transport.send_direct(
+        "b", ReplicaMessage(ReplicaEvent.BIRTH, "k", "r1", "addr", 300.0),
+        src="replica",
+    )
+    settle()
+    counters = {
+        name: getattr(transport, name)
+        for name in ("sent", "sent_direct", "delivered", "dropped",
+                     "blocked", "lost", "duplicated", "reordered")
+    }
+    slots = (collector.query_hops, collector.clear_bit_hops,
+             collector.update_hops)
+    # Arrival order is the world's business (a zero-delay direct message
+    # overtakes link traffic in the simulator); who got what is not.
+    return counters, slots, observed, sorted(received), relayed.hops
+
+
+def test_hop_ledger_parity_both_worlds():
+    # One TransportCore charges the hop in both worlds: the same message
+    # sequence must leave identical counters, identical collector slots
+    # and an identical observer call sequence behind.
     sim = Simulator()
+    simulated = Transport(sim)
     live = LiveTransport(LiveClock(), _NullRouter())
-    assert missing_transport_methods(Transport(sim)) == []
-    assert missing_transport_methods(live) == []
-    assert conforming([Transport(sim), live])
+    assert isinstance(simulated, TransportCore)
+    assert isinstance(live, TransportCore)
+    in_sim = _drive_ledger(simulated, sim.run)
+    in_live = _drive_ledger(live, lambda: None)
+    assert in_sim == in_live
+    counters, slots, observed, received, relayed_hops = in_sim
+    assert counters == {
+        "sent": 11, "sent_direct": 1, "delivered": 11, "dropped": 1,
+        "blocked": 0, "lost": 0, "duplicated": 0, "reordered": 0,
+    }
+    assert slots == (2, 1, {
+        UpdateType.FIRST_TIME: 1, UpdateType.REFRESH: 4,
+        UpdateType.DELETE: 1, UpdateType.APPEND: 1,
+    })
+    # Every hop reaches every observer, in registration order; the
+    # fan-out forks one envelope per child and leaves the original's
+    # hop count alone.
+    assert len(observed) == 22
+    assert [call[0] for call in observed[:4]] == ["first", "second"] * 2
+    assert [call[2:] for call in observed[-8:-2:2]] == [
+        (dst, "update", UpdateType.REFRESH, 3) for dst in "bcd"
+    ]
+    assert relayed_hops == 2
+    assert live.received == 0
 
 
 def test_clock_seam_conformance_both_worlds():
@@ -323,11 +407,9 @@ async def _socket_request(node, frame):
         writer.close()
 
 
-def test_config_rejects_unknown_mode_and_codec():
+def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError):
         LiveNodeConfig(mode="gossip")
-    with pytest.raises(Exception):
-        LiveNodeConfig(codec="carrier-pigeon")
 
 
 def test_config_rejects_bad_resilience_knobs():

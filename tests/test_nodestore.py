@@ -18,6 +18,7 @@ from repro.persistence import (
     state_to_blob,
 )
 from repro.persistence import nodestore
+from repro.persistence.checkpoint import FORMAT_VERSION
 from repro.replicas.authority import AuthorityIndex
 
 NOW = 1000.0
@@ -113,7 +114,7 @@ def test_store_info_reads_header_without_payload(tmp_path):
     header = store.info()
     assert header["node_id"] == SELF
     assert header["keys"] == 1
-    assert header["format"] == nodestore.FORMAT_VERSION
+    assert header["format"] == FORMAT_VERSION
 
 
 def test_atomic_overwrite_keeps_single_loadable_file(tmp_path):

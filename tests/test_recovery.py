@@ -370,8 +370,12 @@ class TestNodeWiring:
         assert all(
             node.recovery is not None for node in net.nodes.values()
         )
-        # Stamping happens on the per-child path only; batching is off.
-        assert all(not node.batched_fanout for node in net.nodes.values())
+        # Stamping happens on the per-child channel path, so a recovery
+        # run never hands a fan-out to the transport.
+        fanouts = []
+        net.transport.send_fanout = lambda *args: fanouts.append(args)
+        summary = net.run()
+        assert summary.total_cost > 0 and not fanouts
 
     def test_standard_mode_never_gets_recovery(self):
         net = CupNetwork(

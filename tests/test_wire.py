@@ -22,13 +22,11 @@ from repro.net.wire import (
     MAX_FRAME_BYTES,
     FrameDecoder,
     WireError,
-    available_codecs,
     encode_frame,
     entry_from_wire,
     entry_to_wire,
     message_from_wire,
     message_to_wire,
-    resolve_codec,
 )
 
 
@@ -146,54 +144,22 @@ def test_malformed_update_raises_wire_error():
 # ----------------------------------------------------------------------
 
 
-#: Every codec importable in this environment; json is always present,
-#: msgpack rides along when installed.  Frame round-trips below run
-#: once per codec so both wire formats stay honest.
-CODECS = sorted(available_codecs())
-
-
-def test_codec_registry_always_has_json():
-    assert "json" in available_codecs()
-    assert resolve_codec("json") == 1
-    with pytest.raises(WireError, match="not available"):
-        resolve_codec("carrier-pigeon")
-
-
-def test_unavailable_codec_is_a_clean_wire_error():
-    # When msgpack is not importable, requesting it must fail as a
-    # WireError naming the available codecs — not an ImportError from
-    # deep inside the encoder.  (With msgpack installed this asserts
-    # the same contract via a codec that can never exist.)
-    missing = ("msgpack" if "msgpack" not in available_codecs()
-               else "msgpack-ng")
-    with pytest.raises(WireError, match="not available") as excinfo:
-        resolve_codec(missing)
-    assert "json" in str(excinfo.value)
-    with pytest.raises(WireError, match="not available"):
-        encode_frame({"t": "x"}, missing)
-
-
-@pytest.mark.parametrize("codec", CODECS)
-def test_frame_roundtrip_single(codec):
+def test_frame_roundtrip_single():
     decoder = FrameDecoder()
-    frames = decoder.feed(
-        encode_frame({"t": "hello", "id": "n1"}, codec)
-    )
+    frames = decoder.feed(encode_frame({"t": "hello", "id": "n1"}))
     assert frames == [{"t": "hello", "id": "n1"}]
     assert decoder.buffered == 0
 
 
-@pytest.mark.parametrize("codec", CODECS)
-def test_frame_roundtrip_many_in_one_read(codec):
+def test_frame_roundtrip_many_in_one_read():
     payloads = [{"i": i} for i in range(20)]
-    blob = b"".join(encode_frame(p, codec) for p in payloads)
+    blob = b"".join(encode_frame(p) for p in payloads)
     assert FrameDecoder().feed(blob) == payloads
 
 
-@pytest.mark.parametrize("codec", CODECS)
-def test_frame_roundtrip_byte_at_a_time(codec):
+def test_frame_roundtrip_byte_at_a_time():
     payloads = [{"t": "msg", "n": i, "data": "x" * i} for i in range(8)]
-    blob = b"".join(encode_frame(p, codec) for p in payloads)
+    blob = b"".join(encode_frame(p) for p in payloads)
     decoder = FrameDecoder()
     out = []
     for i in range(len(blob)):
@@ -202,15 +168,14 @@ def test_frame_roundtrip_byte_at_a_time(codec):
     assert decoder.buffered == 0
 
 
-@pytest.mark.parametrize("codec", CODECS)
-def test_message_roundtrip_through_frames_each_codec(codec):
+def test_message_roundtrip_through_frames():
     msg = UpdateMessage(
         key="k", update_type=UpdateType.REFRESH,
         entries=(entry(seq=1), entry(replica="r2", seq=2)),
         replica_id="r1", issued_at=99.25, route=("n1", "n2"),
     )
     msg.hops = 2
-    blob = encode_frame(message_to_wire(msg), codec)
+    blob = encode_frame(message_to_wire(msg))
     (decoded,) = FrameDecoder().feed(blob)
     restored = message_from_wire(decoded)
     assert message_to_wire(restored) == message_to_wire(msg)
@@ -236,6 +201,13 @@ def test_unknown_codec_tag_rejected_from_header_alone():
         FrameDecoder().feed(header)
 
 
+def test_retired_msgpack_tag_rejected_from_header_alone():
+    # Tag 2 once meant msgpack; JSON (tag 1) is the only payload now.
+    header = struct.pack("!IB", 10, 2)
+    with pytest.raises(WireError, match="codec tag 2"):
+        FrameDecoder().feed(header)
+
+
 def test_garbage_prefix_detected_before_payload_arrives():
     # b"GET / HT" begins with a huge big-endian "length"; the decoder
     # must not sit waiting for gigabytes of payload.
@@ -245,6 +217,13 @@ def test_garbage_prefix_detected_before_payload_arrives():
 
 def test_undecodable_payload_raises():
     blob = struct.pack("!IB", 4, 1) + b"\xff\xfe\xfd\xfc"
+    with pytest.raises(WireError, match="undecodable"):
+        FrameDecoder().feed(blob)
+
+
+def test_hostile_nesting_depth_raises_wire_error():
+    payload = b"[" * 200_000
+    blob = struct.pack("!IB", len(payload), 1) + payload
     with pytest.raises(WireError, match="undecodable"):
         FrameDecoder().feed(blob)
 
