@@ -13,11 +13,9 @@ as a single round (``pedantic(rounds=1)``) — the interesting output is
 the table, not a latency distribution.
 
 Execution: benchmarks go through the parallel executor and the
-persistent run cache.  ``--repro-workers N`` (or ``$REPRO_WORKERS``)
-fans independent sweep cells across N processes; ``--repro-no-cache``
-and ``--repro-cache-dir`` (or ``$REPRO_NO_CACHE`` / ``$REPRO_CACHE_DIR``)
-control the on-disk cache.  The options are registered by the rootdir
-``conftest.py``.
+persistent run cache.  ``$REPRO_WORKERS`` fans independent sweep cells
+across N processes; ``$REPRO_NO_CACHE`` / ``$REPRO_CACHE_DIR`` control
+the on-disk cache.
 """
 
 from __future__ import annotations
@@ -36,22 +34,12 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 @pytest.fixture(scope="session", autouse=True)
 def repro_execution(request):
-    """Wire CLI options/env into the executor and the run cache."""
-    from repro.experiments import executor, runcache
+    """Run the benchmarks on the run cache the environment selects."""
+    from repro.experiments import runcache
 
-    workers = request.config.getoption("--repro-workers")
-    if workers is not None:
-        executor.configure(workers=workers)
     saved = runcache.snapshot()
-    if request.config.getoption("--repro-no-cache"):
-        cache = runcache.configure(enabled=False)
-    else:
-        cache_dir = request.config.getoption("--repro-cache-dir")
-        if cache_dir is not None:
-            cache = runcache.configure(cache_dir=cache_dir)
-        else:
-            runcache.reset()
-            cache = runcache.active()  # honors $REPRO_NO_CACHE etc.
+    runcache.reset()
+    cache = runcache.active()  # honors $REPRO_NO_CACHE / $REPRO_CACHE_DIR
     yield
     if cache is not None:
         request.config._repro_cache_report = (
@@ -59,8 +47,6 @@ def repro_execution(request):
             f"{cache.root}/{cache.fingerprint}"
         )
     runcache.restore(saved)
-    if workers is not None:
-        executor.configure(workers=None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,14 +5,14 @@ network-size axis far beyond the original 2^12 = 4096 nodes.  This suite
 times the standard cell (the `small` preset at the §3.5 high-rate
 operating point, paper-λ = 100 — identical to ``test_perf_macro``'s
 n=1024 cell except for ``num_nodes``) at n = 4096, 16384 and 65536,
-printing three numbers per cell:
+printing two numbers per cell:
 
 * steady-state **events/sec** of the run phase;
 * **setup seconds** (network construction, including overlay build —
   reported separately so routing-table precomputation cannot hide
-  inside, or be mistaken for, steady-state throughput);
-* **bytes per node** at build time (a tracemalloc'd twin build), the
-  number that bounds how far n can be pushed on one machine.
+  inside, or be mistaken for, steady-state throughput).
+
+Memory is cupbench's ``peak_rss_mb`` on the same cells.
 
 Each cell is timed as a single shot — the simulation is deterministic
 and runs for seconds, so machine noise is amortized by run length and
@@ -30,15 +30,9 @@ constrained machines; every cell at or below the cap still runs.
 
 import os
 import time
-import tracemalloc
 
 from repro.core.protocol import CupNetwork
-from repro.experiments import topology
 from repro.experiments.config import SMALL
-
-#: Seed (pre-optimization) degradation ratio, from the record of PR 3:
-#: 229.1k events/s at n=1024 over 64.6k at n=16384.
-SEED_DEGRADATION_RATIO = 3.55
 
 #: (num_nodes, golden queries_posted, golden total_cost) per cell.  The
 #: workload stream is identical across n (same seed, same arrival
@@ -82,13 +76,6 @@ def test_scale_network_size_cells(perf_publish):
         assert summary.queries_posted == golden_queries, num_nodes
         assert summary.total_cost == golden_cost, num_nodes
 
-        # Memory footprint: a traced twin build (tracemalloc skews wall
-        # time, so it never overlaps the timed phases above).
-        tracemalloc.start()
-        CupNetwork(config)
-        traced_bytes, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-
         perf_publish(
             f"scale_network_size_n{num_nodes}",
             wall_seconds=run_seconds,
@@ -100,70 +87,8 @@ def test_scale_network_size_cells(perf_publish):
                 net.metrics.routing_build_seconds, 6
             ),
             routing_table_builds=net.metrics.routing_table_builds,
-            bytes_per_node=int(traced_bytes / num_nodes),
             queries_posted=summary.queries_posted,
             total_cost=summary.total_cost,
         )
         ran += 1
     assert ran >= 1, "REPRO_PERF_SCALE_MAX excluded every scale cell"
-
-
-def _sweep_steady_state_throughput(num_nodes: int, rounds: int = 2):
-    """Best per-event throughput of a sweep re-run of one cell.
-
-    Measures what a sweep pays per cell once the topology snapshot cache
-    is warm (tentpole layer 3): the overlay — route memos included — is
-    leased, only the run phase is timed, and the best of ``rounds`` runs
-    is taken (the simulation is deterministic; rounds differ only by
-    machine noise and memo warmth).
-    """
-    config = _cell_config(num_nodes)
-    topo = topology.lease(config)
-    best = None
-    for _ in range(rounds):
-        net = CupNetwork(config, topology=topo)
-        started = time.perf_counter()
-        summary = net.run()
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best[0]:
-            best = (elapsed, net.sim.events_processed, summary)
-    return best
-
-
-def test_scale_degradation_ratio(perf_publish):
-    """Report the n=1024 → n=16384 per-event throughput degradation.
-
-    More hops per query at a larger diameter make the large-N cell
-    slower per event; the seed degraded 3.55x.  Both cells are measured
-    back-to-back in this process, so the ratio cancels machine speed.
-    The ratio is printed, not gated: across recorded runs it moved
-    between 2.2 and 3.0 with no code cause.
-    """
-    if _scale_cap() < 16384:
-        import pytest
-
-        pytest.skip("REPRO_PERF_SCALE_MAX excludes the n=16384 ratio cell")
-    wall_small, events_small, summary_small = _sweep_steady_state_throughput(
-        1024, rounds=3
-    )
-    wall_large, events_large, summary_large = _sweep_steady_state_throughput(
-        16384, rounds=2
-    )
-    # The golden referee: fast-but-wrong cannot print a ratio.
-    assert summary_small.queries_posted == 74716
-    assert summary_small.total_cost == 15358
-    assert summary_large.queries_posted == 74716
-    assert summary_large.total_cost == 239336
-
-    throughput_small = events_small / wall_small
-    throughput_large = events_large / wall_large
-    perf_publish(
-        "scale_degradation_ratio",
-        wall_seconds=wall_small + wall_large,
-        ops=events_small + events_large,
-        unit="events",
-        degradation_ratio=round(throughput_small / throughput_large, 3),
-        seed_degradation_ratio=SEED_DEGRADATION_RATIO,
-        throughput_n1024=round(throughput_small, 1),
-        throughput_n16384=round(throughput_large, 1),
-    )

@@ -203,10 +203,10 @@ def main() -> int:
         for address, port in zip(durable[1:], ports[1:3]):
             cluster.spawn(
                 address,
-                ["join"] + durable_args(address, port) + [durable[0]],
+                ["serve"] + durable_args(address, port) + [durable[0]],
             )
             wait_ready(address, deadline)
-        cluster.spawn(cold, ["join"] + tuning
+        cluster.spawn(cold, ["serve"] + tuning
                       + ["--port", str(ports[3]), durable[0]])
         wait_ready(cold, deadline)
         wait_members(addresses, addresses, deadline)
@@ -325,7 +325,7 @@ def main() -> int:
         cluster.kill9(cold)
         others = [a for a in addresses if a != cold]
         wait_members(others, others, deadline)
-        cluster.spawn(cold, ["join"] + tuning
+        cluster.spawn(cold, ["serve"] + tuning
                       + ["--port", str(ports[3]), durable[0]])
         info = wait_ready(cold, deadline)
         if info.get("rejoined"):

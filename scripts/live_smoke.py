@@ -5,7 +5,7 @@ The end-to-end proof that the live stack (``repro node``) runs the same
 protocol core as the simulator, over real sockets:
 
 1. launch one founding daemon (``repro node serve``) and two joiners
-   (``repro node join``) as separate OS processes on localhost;
+   (``repro node serve SEED``) as separate OS processes on localhost;
 2. wait until every node reports the same three-member view;
 3. ``put`` a replica at node A — the birth routes to the key's
    authority — and ``get`` it from every node: each must return the
@@ -97,7 +97,7 @@ def main() -> int:
         wait_ready(addresses[0], deadline)
         for port, address in zip(ports[1:], addresses[1:]):
             daemons.append(spawn(
-                ["join", "--port", str(port), addresses[0]]
+                ["serve", "--port", str(port), addresses[0]]
             ))
             wait_ready(address, deadline)
 

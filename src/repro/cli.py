@@ -7,13 +7,13 @@ Usage::
     python -m repro run all --scale small --workers 4
     python -m repro run macro --nodes 4096 --checkpoint run.ckpt
     python -m repro run macro --resume --checkpoint run.ckpt
-    python -m repro sweep all --resume --cell-timeout 600 --max-retries 2
+    python -m repro run all --cell-timeout 600 --report-json cells.json
     python -m repro quickstart
     python -m repro scenarios list
     python -m repro scenarios run perfect-storm [--seed N] [--no-invariants]
-    python -m repro chaos flash-crowd --loss 0.2 --duplicate 0.1 --jitter 0.1
+    python -m repro scenarios run flash-crowd --loss 0.2 --duplicate 0.1
     python -m repro node serve --port 9400
-    python -m repro node join 127.0.0.1:9400
+    python -m repro node serve 127.0.0.1:9400
     python -m repro node put somekey replica-1 --node 127.0.0.1:9400
     python -m repro node get somekey --node 127.0.0.1:9401
 
@@ -21,19 +21,21 @@ Each experiment prints its table (mirroring the paper's layout) followed
 by a PASS/FAIL checklist of the paper's qualitative shape claims.
 
 Sweep cells are independent simulations: ``--workers N`` fans them out
-across N processes, and finished cells persist in an on-disk run cache
-(``--cache-dir``, default ``.repro-cache/``) so repeated invocations —
-and interrupted sweeps — only pay for cells they have not seen.
-``--no-cache`` forces fresh runs.
-
-``repro sweep`` is ``run`` hardened for hostile machines: the worker
-pool is supervised (per-cell wall-clock timeouts, worker-death
-detection, bounded exponential-backoff retries), completed cells flush
-to the run cache as they finish, and ``--resume`` serves previously
-finished cells from that cache so a killed sweep re-runs only
-unfinished work.  ``repro run macro --checkpoint`` snapshots the single
+across N processes, and each finished cell flushes at once to an
+on-disk run cache (``--cache-dir``, default ``.repro-cache/``) so
+repeated invocations — and killed sweeps — only pay for cells they have
+not seen.  ``--no-cache`` forces fresh runs.  The worker pool is
+supervised: ``--cell-timeout``, ``--max-retries`` and
+``--retry-backoff`` bound how long a hung or killed worker can hold a
+cell, and ``--report-json`` writes the per-cell source / attempts /
+wall-time table.  ``repro run macro --checkpoint`` snapshots the single
 long macro simulation periodically; ``--resume`` picks it up from the
 latest snapshot and finishes with byte-identical results.
+
+``scenarios run`` with any of ``--loss`` / ``--duplicate`` / ``--jitter``
+above zero reruns the scenario over a seeded unreliable transport with
+recovery on and the convergence audit.  ``node serve`` founds a cluster;
+given seed members as positional arguments it joins theirs instead.
 """
 
 from __future__ import annotations
@@ -183,64 +185,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.checkpoint is not None or args.resume:
         print(
             "--checkpoint/--resume apply to the single-cell 'macro' run "
-            "(sweeps resume via the run cache: see 'repro sweep')",
+            "(a killed sweep resumes from the run cache on its own)",
             file=sys.stderr,
         )
         return 2
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"choose from: {', '.join(EXPERIMENTS)} or 'all'", file=sys.stderr)
-        return 2
-    scale = resolve_scale(args.scale)
-    if args.workers is not None:
-        executor.configure(workers=args.workers)
-    if args.no_cache:
-        cache = runcache.configure(enabled=False)
-    elif args.cache_dir is not None:
-        cache = runcache.configure(cache_dir=args.cache_dir)
-    else:
-        runcache.reset()
-        cache = runcache.active()  # honors $REPRO_NO_CACHE / $REPRO_CACHE_DIR
-    status = 0
-    for name in names:
-        _, runner = EXPERIMENTS[name]
-        started = time.monotonic()
-        result = runner(scale, args.seed)
-        elapsed = time.monotonic() - started
-        print(result.report())
-        print(f"({name} completed in {elapsed:.1f}s at scale={scale.name})\n")
-        if not result.all_expectations_hold():
-            status = 1
-    if cache is not None:
-        print(
-            f"run cache: {cache.stats} under "
-            f"{cache.root}/{cache.fingerprint} "
-            f"(workers={executor.default_workers()})"
-        )
-    return status
-
-
-def _print_cell_report(report) -> None:
-    if not report:
-        return
-    print("per-cell report:")
-    print(f"  {'label':36s} {'source':7s} {'tries':>5s} "
-          f"{'retries':>7s} {'wall':>8s}")
-    for cell in report:
-        line = (
-            f"  {str(cell.label):36s} {cell.source:7s} "
-            f"{cell.attempts:5d} {cell.retries:7d} "
-            f"{cell.wall_seconds:7.2f}s"
-        )
-        if cell.error:
-            line += f"  [{cell.error}]"
-        print(line)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Supervised sweep: timeouts, retries, per-cell flush, --resume."""
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
@@ -255,21 +203,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
     ))
-    root = args.cache_dir or os.environ.get(
-        runcache.CACHE_DIR_ENV, runcache.DEFAULT_CACHE_DIR
-    )
-    if args.resume:
-        # Serve finished cells from the persistent cache: after a hard
-        # abort only unfinished work re-runs.
-        cache = runcache.configure(cache_dir=root)
+    if args.no_cache:
+        cache = runcache.configure(enabled=False)
+    elif args.cache_dir is not None:
+        cache = runcache.configure(cache_dir=args.cache_dir)
     else:
-        # Fresh sweep, but each completed cell still flushes to disk so
-        # a later --resume can pick up from an abort.
-        from repro.experiments.runner import clear_cache
-
-        clear_cache()
-        cache = runcache.install(runcache.WriteOnlyCache(root))
-    executor.drain_report()  # discard accounting from before this sweep
+        runcache.reset()
+        cache = runcache.active()  # honors $REPRO_NO_CACHE / $REPRO_CACHE_DIR
+    executor.drain_report()  # discard accounting from before this run
     status = 0
     for name in names:
         _, runner = EXPERIMENTS[name]
@@ -289,7 +230,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not result.all_expectations_hold():
             status = 1
     report = executor.drain_report()
-    _print_cell_report(report)
+    if any(cell.retries or cell.error for cell in report):
+        _print_cell_report(report)
     if args.report_json is not None:
         payload = [
             {
@@ -310,10 +252,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(
             f"run cache: {cache.stats} under "
             f"{cache.root}/{cache.fingerprint} "
-            f"(workers={executor.default_workers()}, "
-            f"resume={'on' if args.resume else 'off'})"
+            f"(workers={executor.default_workers()})"
         )
     return status
+
+
+def _print_cell_report(report) -> None:
+    print("per-cell report:")
+    print(f"  {'label':36s} {'source':7s} {'tries':>5s} "
+          f"{'retries':>7s} {'wall':>8s}")
+    for cell in report:
+        line = (
+            f"  {str(cell.label):36s} {cell.source:7s} "
+            f"{cell.attempts:5d} {cell.retries:7d} "
+            f"{cell.wall_seconds:7.2f}s"
+        )
+        if cell.error:
+            line += f"  [{cell.error}]"
+        print(line)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -400,43 +356,6 @@ def _cmd_scenarios_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios_run(args: argparse.Namespace) -> int:
-    from repro.invariants import InvariantViolationError
-    from repro.scenarios import SCENARIOS, run_scenario
-
-    names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
-    unknown = [n for n in names if n not in SCENARIOS]
-    if unknown:
-        print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"choose from: {', '.join(SCENARIOS)} or 'all'", file=sys.stderr)
-        return 2
-    status = 0
-    convergence = getattr(args, "convergence", False)
-    for name in names:
-        started = time.monotonic()
-        try:
-            result = run_scenario(
-                SCENARIOS[name],
-                seed=args.seed,
-                invariants=not args.no_invariants,
-                raise_on_violation=False,
-                convergence=convergence,
-            )
-        except InvariantViolationError as violation:  # pragma: no cover
-            # raise_on_violation=False collects instead; this guards a
-            # future caller flipping that default.
-            print(f"scenario {name!r} FAILED: {violation}")
-            status = 1
-            continue
-        elapsed = time.monotonic() - started
-        print(result.report())
-        print(f"({name} completed in {elapsed:.1f}s)\n")
-        if not args.no_invariants and not result.ok:
-            status = 1
-    return status
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Rerun any built-in scenario over a seeded unreliable transport."""
     from repro.scenarios import SCENARIOS, run_scenario, with_chaos
 
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
@@ -445,43 +364,53 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"choose from: {', '.join(SCENARIOS)} or 'all'", file=sys.stderr)
         return 2
-    if args.loss == 0.0 and args.duplicate == 0.0 and args.jitter == 0.0:
+    chaos = args.loss > 0.0 or args.duplicate > 0.0 or args.jitter > 0.0
+    convergence = args.convergence or chaos
+    if convergence and args.no_invariants:
         print(
-            "nothing to inject: set at least one of --loss, --duplicate, "
-            "--jitter above zero",
+            "the convergence audit (--convergence, or any of --loss/"
+            "--duplicate/--jitter above zero) runs on the invariant "
+            "checker; drop --no-invariants",
             file=sys.stderr,
         )
         return 2
     status = 0
     for name in names:
-        chaotic = with_chaos(
-            SCENARIOS[name],
-            loss=args.loss, duplicate=args.duplicate, jitter=args.jitter,
-        )
+        scenario = SCENARIOS[name]
+        if chaos:
+            scenario = with_chaos(
+                scenario,
+                loss=args.loss, duplicate=args.duplicate, jitter=args.jitter,
+            )
         started = time.monotonic()
         result = run_scenario(
-            chaotic,
+            scenario,
             seed=args.seed,
+            invariants=not args.no_invariants,
             raise_on_violation=False,
-            convergence=True,
+            convergence=convergence,
         )
         elapsed = time.monotonic() - started
         print(result.report())
-        print(f"({chaotic.name} completed in {elapsed:.1f}s)\n")
-        if not result.ok:
+        print(f"({scenario.name} completed in {elapsed:.1f}s)\n")
+        if not args.no_invariants and not result.ok:
             status = 1
     return status
 
 
-def _node_config_from_args(args, joining: bool):
+def _node_config_from_args(args):
     from repro.net.daemon import LiveNodeConfig
 
-    peers = tuple(args.peers) if joining else ()
+    port = args.port
+    if port is None:
+        # A founder listens where clients look by default; a joiner is
+        # found through the member list, so any free port will do.
+        port = 0 if args.peers else 9400
     return LiveNodeConfig(
         host=args.host,
-        port=args.port,
+        port=port,
         node_id=args.node_id,
-        peers=peers,
+        peers=tuple(args.peers),
         mode=args.mode,
         policy=args.policy,
         pfu_timeout=args.pfu_timeout,
@@ -498,13 +427,7 @@ def _node_config_from_args(args, joining: bool):
 def _cmd_node_serve(args) -> int:
     from repro.net.daemon import serve
 
-    return serve(_node_config_from_args(args, joining=False))
-
-
-def _cmd_node_join(args) -> int:
-    from repro.net.daemon import serve
-
-    return serve(_node_config_from_args(args, joining=True))
+    return serve(_node_config_from_args(args))
 
 
 def _node_request(args, call) -> int:
@@ -626,54 +549,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="('macro' only) write the final summary as canonical "
              "sorted-keys JSON (for byte comparison across resumes)",
     )
-    run_parser.set_defaults(fn=_cmd_run)
-
-    sweep_parser = sub.add_parser(
-        "sweep",
-        help="run experiments under the supervised executor (per-cell "
-             "timeouts, retries, incremental flush, --resume)",
-    )
-    sweep_parser.add_argument(
-        "experiment", help=f"one of: {', '.join(EXPERIMENTS)}, or 'all'"
-    )
-    sweep_parser.add_argument(
-        "--scale", default=None, choices=["tiny", "small", "paper"],
-        help="parameter preset (default: $REPRO_SCALE or 'small')",
-    )
-    sweep_parser.add_argument("--seed", type=int, default=42)
-    sweep_parser.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="worker processes (default: $REPRO_WORKERS or 1 = serial)",
-    )
-    sweep_parser.add_argument(
-        "--resume", action="store_true",
-        help="serve already-finished cells from the run cache; only "
-             "unfinished work re-runs",
-    )
-    sweep_parser.add_argument(
+    run_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="S",
         help="per-attempt wall-clock budget for one cell "
              "(default: unlimited)",
     )
-    sweep_parser.add_argument(
+    run_parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
         help="retries per cell after worker death or timeout (default 2)",
     )
-    sweep_parser.add_argument(
+    run_parser.add_argument(
         "--retry-backoff", type=float, default=0.5, metavar="S",
         help="base of the exponential retry backoff (default 0.5s)",
     )
-    sweep_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="run-cache directory (default: $REPRO_CACHE_DIR or "
-             ".repro-cache)",
-    )
-    sweep_parser.add_argument(
+    run_parser.add_argument(
         "--report-json", default=None, metavar="PATH",
-        help="write the per-cell wall-time/retry report as JSON "
-             "(CI artifact)",
+        help="write the per-cell source/attempts/wall-time report as "
+             "JSON (CI artifact)",
     )
-    sweep_parser.set_defaults(fn=_cmd_sweep)
+    run_parser.set_defaults(fn=_cmd_run)
 
     quick_parser = sub.add_parser(
         "quickstart", help="tiny CUP vs standard caching comparison"
@@ -736,104 +630,89 @@ def build_parser() -> argparse.ArgumentParser:
              "caches hold the authority's settled versions or recorded "
              "a degraded read)",
     )
+    scen_run.add_argument(
+        "--loss", type=float, default=0.0, metavar="P",
+        help="per-send loss probability; any of --loss/--duplicate/"
+             "--jitter above zero reruns the scenario over a seeded "
+             "unreliable transport with recovery and the convergence "
+             "audit on (default 0)",
+    )
+    scen_run.add_argument(
+        "--duplicate", type=float, default=0.0, metavar="P",
+        help="per-send duplicate-delivery probability (default 0)",
+    )
+    scen_run.add_argument(
+        "--jitter", type=float, default=0.0, metavar="SECONDS",
+        help="max extra per-send delay (default 0)",
+    )
     scen_run.set_defaults(fn=_cmd_scenarios_run)
-
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="rerun a built-in scenario over an unreliable transport "
-             "(seeded loss/duplication/jitter + recovery + convergence "
-             "audit)",
-    )
-    chaos_parser.add_argument(
-        "scenario", help="a scenario name (see 'scenarios list') or 'all'"
-    )
-    chaos_parser.add_argument("--seed", type=int, default=42)
-    chaos_parser.add_argument(
-        "--loss", type=float, default=0.2, metavar="P",
-        help="per-send loss probability (default 0.2)",
-    )
-    chaos_parser.add_argument(
-        "--duplicate", type=float, default=0.1, metavar="P",
-        help="per-send duplicate-delivery probability (default 0.1)",
-    )
-    chaos_parser.add_argument(
-        "--jitter", type=float, default=0.1, metavar="SECONDS",
-        help="max extra per-send delay (default 0.1)",
-    )
-    chaos_parser.set_defaults(fn=_cmd_chaos)
 
     node_parser = sub.add_parser(
         "node",
-        help="live CUP node daemon and its client (serve/join/put/get)",
+        help="live CUP node daemon and its client (serve/put/get)",
     )
     node_sub = node_parser.add_subparsers(dest="node_command", required=True)
 
-    def _add_serve_args(p, joining: bool):
-        p.add_argument(
-            "--host", default="127.0.0.1",
-            help="listen address (default 127.0.0.1)",
-        )
-        p.add_argument(
-            "--port", type=int, default=0 if joining else 9400,
-            help="listen port (default %(default)s; 0 = pick a free port)",
-        )
-        p.add_argument(
-            "--node-id", default=None, metavar="HOST:PORT",
-            help="cluster identity; defaults to the bound host:port and "
-                 "must stay dialable (ids double as addresses)",
-        )
-        p.add_argument(
-            "--mode", default="cup", choices=["cup", "standard"],
-            help="CUP propagation or standard pull-through caching",
-        )
-        p.add_argument(
-            "--policy", default="second-chance", metavar="POLICY",
-            help="cut-off policy spec (default second-chance)",
-        )
-        p.add_argument("--pfu-timeout", type=float, default=3.0,
-                       metavar="S", help="pending-first-update timeout")
-        p.add_argument("--keepalive-period", type=float, default=2.0,
-                       metavar="S", help="heartbeat period (default 2s)")
-        p.add_argument(
-            "--keepalive-misses", type=_positive_int, default=3,
-            metavar="N", help="silent periods before suspecting a peer",
-        )
-        p.add_argument(
-            "--no-invariants", action="store_true",
-            help="run without the attached invariant checker",
-        )
-        p.add_argument(
-            "--no-recovery", action="store_true",
-            help="disable gap-detection/NACK recovery",
-        )
-        p.add_argument(
-            "--state-dir", default=None, metavar="DIR",
-            help="persist durable node state here and warm-rejoin from "
-                 "it at boot (default: stateless)",
-        )
-        p.add_argument(
-            "--snapshot-interval", type=float, default=5.0, metavar="S",
-            help="write-behind snapshot cadence with --state-dir "
-                 "(default 5s)",
-        )
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress membership/lifecycle logging")
-
     node_serve = node_sub.add_parser(
-        "serve", help="found a cluster: listen and host a CUP node"
+        "serve",
+        help="listen and host a CUP node: found a cluster, or join one "
+             "through the given seed members",
     )
-    _add_serve_args(node_serve, joining=False)
+    node_serve.add_argument(
+        "peers", nargs="*", metavar="HOST:PORT",
+        help="existing members to join through (none = found a cluster)",
+    )
+    node_serve.add_argument(
+        "--host", default="127.0.0.1",
+        help="listen address (default 127.0.0.1)",
+    )
+    node_serve.add_argument(
+        "--port", type=int, default=None,
+        help="listen port (default 9400 when founding; when joining, "
+             "0 = pick a free port)",
+    )
+    node_serve.add_argument(
+        "--node-id", default=None, metavar="HOST:PORT",
+        help="cluster identity; defaults to the bound host:port and "
+             "must stay dialable (ids double as addresses)",
+    )
+    node_serve.add_argument(
+        "--mode", default="cup", choices=["cup", "standard"],
+        help="CUP propagation or standard pull-through caching",
+    )
+    node_serve.add_argument(
+        "--policy", default="second-chance", metavar="POLICY",
+        help="cut-off policy spec (default second-chance)",
+    )
+    node_serve.add_argument("--pfu-timeout", type=float, default=3.0,
+                            metavar="S", help="pending-first-update timeout")
+    node_serve.add_argument("--keepalive-period", type=float, default=2.0,
+                            metavar="S", help="heartbeat period (default 2s)")
+    node_serve.add_argument(
+        "--keepalive-misses", type=_positive_int, default=3,
+        metavar="N", help="silent periods before suspecting a peer",
+    )
+    node_serve.add_argument(
+        "--no-invariants", action="store_true",
+        help="run without the attached invariant checker",
+    )
+    node_serve.add_argument(
+        "--no-recovery", action="store_true",
+        help="disable gap-detection/NACK recovery",
+    )
+    node_serve.add_argument(
+        "--state-dir", default=None, metavar="DIR",
+        help="persist durable node state here and warm-rejoin from "
+             "it at boot (default: stateless)",
+    )
+    node_serve.add_argument(
+        "--snapshot-interval", type=float, default=5.0, metavar="S",
+        help="write-behind snapshot cadence with --state-dir "
+             "(default 5s)",
+    )
+    node_serve.add_argument("--quiet", action="store_true",
+                            help="suppress membership/lifecycle logging")
     node_serve.set_defaults(fn=_cmd_node_serve)
-
-    node_join = node_sub.add_parser(
-        "join", help="serve, then join an existing cluster via seed peers"
-    )
-    _add_serve_args(node_join, joining=True)
-    node_join.add_argument(
-        "peers", nargs="+", metavar="HOST:PORT",
-        help="one or more existing members to join through",
-    )
-    node_join.set_defaults(fn=_cmd_node_join)
 
     def _add_client_args(p):
         p.add_argument(

@@ -41,6 +41,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro.core.channels import PRIORITY_PROFILES, CapacityConfig
 from repro.core.node import CupNode
 from repro.core.policies import CutoffPolicy, make_policy
+from repro.core.recovery import RecoveryConfig
 from repro.metrics.collector import MetricsCollector, MetricsSummary
 from repro.overlay.base import NodeId, Overlay
 from repro.overlay.can import CanOverlay
@@ -63,7 +64,6 @@ class CupConfig:
     # --- topology -----------------------------------------------------
     num_nodes: int = 64
     overlay_type: str = "can"          # "can" | "chord" | "pastry"
-    can_dims: int = 2
     link_delay: float = 0.05           # one-way seconds per overlay hop
     link_delay_jitter: float = 0.0     # +/- uniform per-link jitter (CAN)
 
@@ -87,21 +87,15 @@ class CupConfig:
     # run byte-identical to historical golden pins: nodes carry no
     # recovery state at all.  Setting False equips every CUP-mode node
     # with sequence stamping, gap detection + NACK/backoff recovery, and
-    # pull-on-miss degradation (see repro.core.recovery) — the knobs
-    # below tune that state machine and are ignored on the default path.
+    # pull-on-miss degradation, timed by the RecoveryConfig defaults
+    # (see repro.core.recovery).
     reliable_transport: bool = True
-    recovery_max_retries: int = 4
-    recovery_base_timeout: float = 0.5
-    recovery_backoff: float = 2.0
-    recovery_max_timeout: float = 8.0
-    recovery_buffer: int = 64
 
     # --- content ------------------------------------------------------
     keys_per_node: float = 1.0
     total_keys: Optional[int] = None   # overrides keys_per_node when set
     replicas_per_key: int = 1
     entry_lifetime: float = 300.0      # the paper's replica lifetime
-    stagger_replicas: bool = True
 
     # --- workload -----------------------------------------------------
     query_rate: float = 1.0            # aggregate λ, queries/second
@@ -115,20 +109,7 @@ class CupConfig:
     seed: int = 42
     gc_interval: Optional[float] = 300.0
     failure_sweep_interval: Optional[float] = None
-    handover_entries: bool = True      # §2.9 index handover on churn
     trace: bool = False
-
-    # --- checkpointing --------------------------------------------------
-    # Durable-run knobs (see repro.persistence.checkpoint): with a path
-    # set, CupNetwork.run() writes a restorable snapshot of the whole
-    # deterministic run state every N processed events and/or every S
-    # *simulated* seconds.  Snapshots are taken between engine chunks,
-    # never as scheduled events, so a checkpointed run is byte-identical
-    # to a plain one.  Like ``trace``, these knobs are not part of
-    # run-cache keys.
-    checkpoint_path: Optional[str] = None
-    checkpoint_every_events: Optional[int] = None
-    checkpoint_every_seconds: Optional[float] = None
 
     @property
     def query_end(self) -> float:
@@ -181,38 +162,6 @@ class CupConfig:
                 f"unknown priority_profile: {self.priority_profile!r}; "
                 f"choose from {sorted(PRIORITY_PROFILES)}"
             )
-        if (
-            self.checkpoint_every_events is not None
-            and self.checkpoint_every_events < 1
-        ):
-            raise ValueError(
-                "checkpoint_every_events must be >= 1 or None, "
-                f"got {self.checkpoint_every_events}"
-            )
-        if (
-            self.checkpoint_every_seconds is not None
-            and self.checkpoint_every_seconds <= 0
-        ):
-            raise ValueError(
-                "checkpoint_every_seconds must be positive or None, "
-                f"got {self.checkpoint_every_seconds}"
-            )
-        if not self.reliable_transport:
-            # Constructing the config object validates the knobs early
-            # (RecoveryConfig re-validates at node construction).
-            self.resolved_recovery()
-
-    def resolved_recovery(self):
-        """The RecoveryConfig described by the recovery_* knobs."""
-        from repro.core.recovery import RecoveryConfig
-
-        return RecoveryConfig(
-            max_retries=self.recovery_max_retries,
-            base_timeout=self.recovery_base_timeout,
-            backoff=self.recovery_backoff,
-            max_timeout=self.recovery_max_timeout,
-            buffer_size=self.recovery_buffer,
-        )
 
     def variant(self, **overrides) -> "CupConfig":
         """A copy with fields replaced (workload seeds stay aligned)."""
@@ -232,12 +181,12 @@ def build_overlay(config: CupConfig) -> Overlay:
     if config.overlay_type == "can":
         n = config.num_nodes
         if n & (n - 1) == 0:
-            return CanOverlay.perfect_grid(n, dims=config.can_dims)
-        overlay = CanOverlay(dims=config.can_dims)
+            return CanOverlay.perfect_grid(n)
+        overlay = CanOverlay()
         rng = RandomStreams(config.seed).get("topology")
         for i in range(n):
             point = (
-                tuple(float(x) for x in rng.random(config.can_dims))
+                tuple(float(x) for x in rng.random(overlay.dims))
                 if i else None
             )
             overlay.join(i, point=point)
@@ -305,12 +254,12 @@ class CupNetwork:
         self._keepalive_settings = None
         # Runtime invariant checker: off until attach_invariants().
         self.invariants = None
-        # Durable-snapshot settings (config defaults; enable_checkpoints()
-        # overrides).  The flag below makes run() resumable: a restored
-        # network must not re-begin its workload.
-        self._checkpoint_path = config.checkpoint_path
-        self._checkpoint_every_events = config.checkpoint_every_events
-        self._checkpoint_every_seconds = config.checkpoint_every_seconds
+        # Durable snapshots: off until enable_checkpoints().  The flag
+        # below makes run() resumable: a restored network must not
+        # re-begin its workload.
+        self._checkpoint_path = None
+        self._checkpoint_every_events = None
+        self._checkpoint_every_seconds = None
         self._workload_begun = False
         #: The compiled ScenarioRuntime driving this run, when any —
         #: registered by Scenario.compile_onto so a restored network
@@ -336,7 +285,6 @@ class CupNetwork:
             replicas_per_key=config.replicas_per_key,
             lifetime=config.entry_lifetime,
             rng=self.streams.get("replicas"),
-            stagger=config.stagger_replicas,
         )
         self.replicas.schedule_births(at=0.0)
 
@@ -380,7 +328,7 @@ class CupNetwork:
             # paths (route is not None), which the sequence layer
             # exempts; only CUP-style propagation gets recovery state.
             recovery_config=(
-                config.resolved_recovery()
+                RecoveryConfig()
                 if not config.reliable_transport and config.mode != "standard"
                 else None
             ),
@@ -520,17 +468,11 @@ class CupNetwork:
             self._checkpoint_path is not None
             and deadline > self.sim.now
         ):
-            every_events = self._checkpoint_every_events
-            every_seconds = self._checkpoint_every_seconds
-            if every_events is None and every_seconds is None:
-                from repro.persistence.checkpoint import DEFAULT_EVERY_EVENTS
-
-                every_events = DEFAULT_EVERY_EVENTS
             self.sim.run_with_checkpoints(
                 deadline,
                 self._auto_checkpoint,
-                every_events=every_events,
-                every_seconds=every_seconds,
+                every_events=self._checkpoint_every_events,
+                every_seconds=self._checkpoint_every_seconds,
             )
         else:
             self.sim.run_until(deadline)
@@ -801,8 +743,7 @@ class CupNetwork:
         node = self._create_node(node_id)
         self._attach_monitor(node_id, node)
         self._member_list = list(self.nodes)
-        if self.config.handover_entries:
-            self._reassign_authority_entries()
+        self._reassign_authority_entries()
         if self.invariants is not None:
             self.invariants.on_membership_change("join", node_id)
         self.tracer.emit(self.sim.now, "churn", event="join", node=node_id)
@@ -822,7 +763,7 @@ class CupNetwork:
         self.transport.unregister(node_id)
         self._member_list = list(self.nodes)
 
-        if graceful and self.config.handover_entries and self.nodes:
+        if graceful and self.nodes:
             # The departing node hands its directory to the new owners;
             # ungraceful departures lose it (entries at caches simply
             # expire and later queries restart propagation).

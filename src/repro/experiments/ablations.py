@@ -51,7 +51,6 @@ class AblationResult(ExperimentResult):
 
 def run_coalescing_ablation(
     scale: Optional[Scale] = None, paper_rate: float = 10.0, seed: int = 42,
-    workers: Optional[int] = None,
 ) -> AblationResult:
     """Standard vs standard+coalescing vs CUP at one operating point."""
     scale = scale or resolve_scale()
@@ -67,7 +66,7 @@ def run_coalescing_ablation(
         "standard + coalescing": base.variant(mode="standard-coalescing"),
         "full CUP (second-chance)": base,
     }
-    summaries: Dict[str, MetricsSummary] = execute(variants, workers=workers)
+    summaries: Dict[str, MetricsSummary] = execute(variants)
     for label, summary in summaries.items():
         result.add_row(
             label, summary.miss_cost, summary.overhead_cost,
@@ -93,7 +92,6 @@ def run_coalescing_ablation(
 
 def run_overlay_ablation(
     scale: Optional[Scale] = None, paper_rate: float = 1.0, seed: int = 42,
-    workers: Optional[int] = None,
 ) -> AblationResult:
     """CUP over CAN vs over Chord: substrate-agnosticism check."""
     scale = scale or resolve_scale()
@@ -111,7 +109,7 @@ def run_overlay_ablation(
         cells[("std", overlay)] = base.variant(
             overlay_type=overlay, mode="standard"
         )
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
     ratios = {}
     for overlay in overlays:
         cup = summaries[("cup", overlay)]
@@ -130,7 +128,6 @@ def run_overlay_ablation(
 
 def run_capacity_mechanism_ablation(
     scale: Optional[Scale] = None, paper_rate: float = 10.0, seed: int = 42,
-    workers: Optional[int] = None,
 ) -> AblationResult:
     """Fractional forwarding (§3.7) vs the rate pump (§2.8)."""
     scale = scale or resolve_scale()
@@ -142,7 +139,7 @@ def run_capacity_mechanism_ablation(
         # produce.
         "rate": base.variant(capacity_rate=2.0),
         "fractional": base.variant(capacity_fraction=0.5),
-    }, workers=workers)
+    })
     full = summaries["full"]
     rate_limited = summaries["rate"]
     fractional = summaries["fractional"]
@@ -181,7 +178,6 @@ def run_aggregation_ablation(
     paper_rate: float = 1.0,
     replicas: int = 10,
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> AblationResult:
     """§3.6's authority-side overhead-reduction techniques.
 
@@ -218,9 +214,7 @@ def run_aggregation_ablation(
         ("sample 20% of refreshes",
          base.variant(refresh_sample_fraction=0.2)),
     ]
-    summaries: Dict[str, MetricsSummary] = execute(
-        dict(variants), workers=workers
-    )
+    summaries: Dict[str, MetricsSummary] = execute(dict(variants))
     for label, summary in summaries.items():
         result.add_row(
             label, summary.miss_cost, summary.overhead_cost,
@@ -255,7 +249,6 @@ def run_zipf_ablation(
     total_keys: int = 16,
     exponents: Sequence[float] = (0.0, 0.8, 1.4),
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> AblationResult:
     """CUP-vs-standard economics under key-popularity skew.
 
@@ -284,7 +277,7 @@ def run_zipf_ablation(
         cells[("std", s)] = base.variant(
             key_distribution=distribution, zipf_s=s, mode="standard"
         )
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
     ratios = []
     cup_totals = []
     std_totals = []

@@ -96,7 +96,6 @@ def run_capacity(
     fraction: float = 0.2,
     seed: int = 42,
     log_scale_figure: bool = False,
-    workers: Optional[int] = None,
 ) -> CapacityResult:
     """Reproduce Figure 5 (λ=1) or Figure 6 (λ=1000, log y-axis)."""
     scale = scale or resolve_scale()
@@ -132,7 +131,7 @@ def run_capacity(
             )
             for c in capacities
         )
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
     result.std_total = summaries["std"].total_cost
     result.full_capacity_total = summaries["full"].total_cost
 

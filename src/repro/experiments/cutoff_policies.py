@@ -93,7 +93,6 @@ def run_cutoff_policies(
     paper_rates: Sequence[float] = (1.0, 10.0, 100.0, 1000.0),
     policies: Optional[List[CutoffPolicy]] = None,
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> CutoffPolicyResult:
     """Reproduce Table 1."""
     scale = scale or resolve_scale()
@@ -124,11 +123,10 @@ def run_cutoff_policies(
             )
             for policy in policies
         )
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
     # One batch for every rate's level sweep (max-of-cells wall-clock).
     push = run_push_level(
-        scale, paper_rates=rates, levels=level_grid, seed=seed,
-        workers=workers,
+        scale, paper_rates=rates, levels=level_grid, seed=seed
     )
 
     for paper_rate in rates:

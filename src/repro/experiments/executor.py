@@ -15,7 +15,7 @@ declarative §3.7 fault schedule) and submit them in one batch to
    (``workers=1`` falls back to a plain serial loop in-process);
 4. flushes every fresh result into both cache layers **as it
    completes**, so an aborted sweep keeps its finished cells and a
-   rerun (``repro sweep --resume``) re-runs only unfinished work;
+   rerun re-runs only unfinished work;
 5. returns ``{label: MetricsSummary}`` with deterministic content —
    results are keyed, so worker scheduling order can never leak into
    tables.

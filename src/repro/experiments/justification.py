@@ -66,7 +66,6 @@ def run_justification(
     scale: Optional[Scale] = None,
     paper_rates: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> JustificationResult:
     """Measure §3.1's update economics across query rates."""
     scale = scale or resolve_scale()
@@ -83,7 +82,7 @@ def run_justification(
         cells.append(Cell(
             ("std", paper_rate), config.variant(mode="standard")
         ))
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
     for paper_rate in rates:
         cup = summaries[("cup", paper_rate)]
         std = summaries[("std", paper_rate)]

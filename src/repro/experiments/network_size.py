@@ -84,7 +84,6 @@ def run_network_size(
     paper_rate: float = 1.0,
     high_rate: Optional[float] = 100.0,
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> NetworkSizeResult:
     """Reproduce Table 2 plus the §3.5 high-rate comparison point.
 
@@ -120,7 +119,7 @@ def run_network_size(
         )
         cells.append(Cell(("cup", "high"), config))
         cells.append(Cell(("std", "high"), config.variant(mode="standard")))
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
 
     for k in exponents:
         n = 2 ** k

@@ -81,7 +81,6 @@ def run_push_level(
     levels: Optional[List[int]] = None,
     seed: int = 42,
     log_scale_figure: bool = False,
-    workers: Optional[int] = None,
 ) -> PushLevelResult:
     """Reproduce Figure 3 (default rates) or Figure 4 (rates 100, 1000).
 
@@ -115,7 +114,7 @@ def run_push_level(
             )
             for level in levels
         )
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
 
     for paper_rate in active_rates:
         std = summaries[("std", paper_rate)]

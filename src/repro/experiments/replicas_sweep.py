@@ -77,7 +77,6 @@ def run_replicas_sweep(
     replica_counts: Sequence[int] = (1, 2, 5, 10, 50, 100),
     paper_rate: float = 1.0,
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> ReplicasResult:
     """Reproduce Table 3 (descending rows in the paper; ascending here)."""
     scale = scale or resolve_scale()
@@ -102,7 +101,7 @@ def run_replicas_sweep(
                 replicas_per_key=replicas, replica_independent_cutoff=True
             ),
         ))
-    summaries = execute(cells, workers=workers)
+    summaries = execute(cells)
     result.std_total = summaries["std"].total_cost
 
     for replicas in replica_counts:

@@ -168,19 +168,6 @@ class RunCache:
             return 0
 
 
-class WriteOnlyCache(RunCache):
-    """A cache that records results but never serves them.
-
-    ``repro sweep`` without ``--resume`` runs every cell fresh, yet each
-    finished cell must still flush to disk so a later ``--resume`` can
-    skip it — exactly a cache with reads disabled.
-    """
-
-    def get(self, key: tuple) -> Optional[MetricsSummary]:
-        self.stats.misses += 1
-        return None
-
-
 # ----------------------------------------------------------------------
 # Process-wide active cache
 # ----------------------------------------------------------------------
@@ -204,16 +191,6 @@ def configure(
         return None
     root = cache_dir or os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
     cache = RunCache(root, fingerprint)
-    _state.update(configured=True, cache=cache)
-    return cache
-
-
-def install(cache: Optional[RunCache]) -> Optional[RunCache]:
-    """Install a pre-built cache object as the process-wide active cache.
-
-    :func:`configure` covers the common cases; this is for callers that
-    need a cache subclass (e.g. :class:`WriteOnlyCache`).
-    """
     _state.update(configured=True, cache=cache)
     return cache
 

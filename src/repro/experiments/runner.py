@@ -11,6 +11,7 @@ is shared with the parallel executor.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.core.policies import CutoffPolicy
@@ -20,23 +21,23 @@ from repro.metrics.collector import MetricsSummary
 _CACHE: Dict[tuple, MetricsSummary] = {}
 
 
+#: Config fields that cannot change a run's summary.  Every other field
+#: is part of the cell key, so a new field is keyed unless named here.
+UNKEYED_FIELDS = frozenset({"trace"})
+
+
 def _cache_key(config: CupConfig) -> tuple:
-    policy = config.policy
-    policy_key = policy.name if isinstance(policy, CutoffPolicy) else policy
-    return (
-        config.num_nodes, config.overlay_type, config.can_dims,
-        config.link_delay, config.link_delay_jitter,
-        config.mode, policy_key, config.replica_independent_cutoff,
-        config.track_justification,
-        config.capacity_fraction, config.capacity_rate, config.pfu_timeout,
-        config.refresh_aggregation_window, config.refresh_sample_fraction,
-        config.priority_profile,
-        config.resolved_total_keys(), config.replicas_per_key,
-        config.entry_lifetime, config.stagger_replicas,
-        config.query_rate, config.key_distribution, config.zipf_s,
-        config.query_start, config.query_duration, config.drain,
-        config.seed, config.gc_interval, config.failure_sweep_interval,
-    )
+    values = {
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(CupConfig)
+        if field.name not in UNKEYED_FIELDS
+    }
+    if isinstance(config.policy, CutoffPolicy):
+        values["policy"] = config.policy.name
+    # keys_per_node acts only through the key count it resolves to.
+    del values["keys_per_node"]
+    values["total_keys"] = config.resolved_total_keys()
+    return tuple(values.values())
 
 
 def memo_get(key: tuple) -> Optional[MetricsSummary]:

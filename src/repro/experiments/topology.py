@@ -46,15 +46,15 @@ stats = {"hits": 0, "misses": 0}
 def snapshot_key(config: CupConfig) -> Tuple:
     """The topology identity of ``config``.
 
-    Covers overlay type, size and dimensionality; the seed joins the key
-    only for the incremental (non-power-of-two) CAN construction, the
-    one build path that draws from the topology random stream.
+    Covers overlay type and size; the seed joins the key only for the
+    incremental (non-power-of-two) CAN construction, the one build path
+    that draws from the topology random stream.
     """
     if config.overlay_type == "can":
         n = config.num_nodes
         if n & (n - 1) == 0:
-            return ("can-grid", n, config.can_dims)
-        return ("can-random", n, config.can_dims, config.seed)
+            return ("can-grid", n)
+        return ("can-random", n, config.seed)
     return (config.overlay_type, config.num_nodes)
 
 

@@ -60,11 +60,10 @@ Cluster mechanics
   machinery, ``audit`` runs the attached invariant checker's quiescence
   sweep, ``info`` and ``stop`` do what they say.
 
-The invariant checker attaches to the live stack through
-:class:`LocalNetworkView` — the one-node "network" this process can
-see — with ``churn``/``crash`` hazards declared (peers come and go),
-so every structural, monotonicity and cost-balance check runs against
-real sockets.
+The invariant checker attaches to the :class:`LiveNode` itself — the
+one-node "network" this process can see — with ``churn``/``crash``
+hazards declared (peers come and go), so every structural, monotonicity
+and cost-balance check runs against real sockets.
 """
 
 from __future__ import annotations
@@ -98,6 +97,10 @@ from repro.persistence.nodestore import NodeStore, sanitize_restored
 from repro.sim.process import PeriodicProcess
 
 _READ_CHUNK = 1 << 16
+#: Identifier bits of the Chord ring every member derives.
+_OVERLAY_BITS = 32
+#: Seconds a joiner waits for each seed to connect and send ``welcome``.
+_JOIN_TIMEOUT = 10.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,13 +125,11 @@ class LiveNodeConfig:
     keepalive_misses: int = 3
     #: Garbage-collect expired cache state this often (0 disables).
     gc_interval: float = 60.0
-    overlay_bits: int = 32
     invariants: bool = True
     #: Run the unreliable-transport recovery layer.  TCP is reliable
     #: per-connection, but frames sent while a link is still dialing are
     #: dropped — gap detection + NACK recovers them.
     recovery: bool = True
-    join_timeout: float = 10.0
     quiet: bool = False
     #: Directory for the durable state snapshot (None = stateless: a
     #: restart rejoins cold).
@@ -169,41 +170,6 @@ class LiveNodeConfig:
             raise ValueError("dead_after must be >= suspect_after")
         if self.outbox_limit < 1:
             raise ValueError("outbox_limit must be >= 1")
-
-
-class LocalNetworkView:
-    """The 'network' surface the invariant checker reads, one node wide.
-
-    :class:`~repro.invariants.checker.InvariantChecker` consumes
-    ``network.sim.now``, ``network.nodes``, ``network.overlay``,
-    ``network.metrics`` and ``network.transport``; this adapter lends a
-    daemon those attributes so the checker runs unmodified against live
-    sockets.
-    """
-
-    def __init__(self, daemon: "LiveNode"):
-        self._daemon = daemon
-
-    @property
-    def sim(self):
-        return self._daemon.clock
-
-    @property
-    def nodes(self):
-        node = self._daemon.node
-        return {} if node is None else {self._daemon.node_id: node}
-
-    @property
-    def overlay(self):
-        return self._daemon.overlay
-
-    @property
-    def metrics(self):
-        return self._daemon.metrics
-
-    @property
-    def transport(self):
-        return self._daemon.transport
 
 
 def _hello_id(hello: dict) -> str:
@@ -292,7 +258,7 @@ class LiveNode:
         self.node_id: Optional[str] = None
         self.clock: Optional[LiveClock] = None
         self.metrics = MetricsCollector()
-        self.overlay = ChordOverlay(bits=config.overlay_bits)
+        self.overlay = ChordOverlay(bits=_OVERLAY_BITS)
         self.transport: Optional[LiveTransport] = None
         self.node: Optional[CupNode] = None
         self.checker = None
@@ -309,6 +275,19 @@ class LiveNode:
         self._gc_process: Optional[PeriodicProcess] = None
         self._stopped = asyncio.Event()
         self._stopping = False
+
+    # ------------------------------------------------------------------
+    # Network surface (read by the invariant checker, beside overlay /
+    # metrics / transport): the one-node "network" this process sees
+    # ------------------------------------------------------------------
+
+    @property
+    def sim(self) -> Optional[LiveClock]:
+        return self.clock
+
+    @property
+    def nodes(self) -> Dict[str, CupNode]:
+        return {} if self.node is None else {self.node_id: self.node}
 
     # ------------------------------------------------------------------
     # Router interface (consumed by LiveTransport)
@@ -371,7 +350,7 @@ class LiveNode:
             from repro.invariants.checker import InvariantChecker
 
             self.checker = InvariantChecker(
-                LocalNetworkView(self),
+                self,
                 hazards=("churn", "crash"),
                 raise_immediately=False,
             )
@@ -418,7 +397,7 @@ class LiveNode:
         if seed == self.node_id:
             return
         loop = self.clock.loop
-        deadline = loop.time() + self.config.join_timeout
+        deadline = loop.time() + _JOIN_TIMEOUT
         # Keep probing until the backoff machinery lands a connection
         # or the join deadline expires — a seed that is itself still
         # booting (or briefly down) should not fail the join outright.
@@ -431,7 +410,7 @@ class LiveNode:
             if loop.time() >= deadline:
                 raise ConnectionError(
                     f"could not reach seed member {seed} within "
-                    f"{self.config.join_timeout}s"
+                    f"{_JOIN_TIMEOUT}s"
                 )
             await asyncio.sleep(0.05)
         try:
@@ -442,7 +421,7 @@ class LiveNode:
         except asyncio.TimeoutError:
             raise ConnectionError(
                 f"seed member {seed} sent no welcome within "
-                f"{self.config.join_timeout}s"
+                f"{_JOIN_TIMEOUT}s"
             ) from None
         self._log(f"joined via {seed}; members={sorted(self.members)}")
 
@@ -714,7 +693,7 @@ class LiveNode:
             hello["rejoin"] = True
         link.send_json(hello)
         link.reader_task = asyncio.ensure_future(
-            self._peer_read_loop(link, reader)
+            self._on_connection(reader, writer, link)
         )
         return link
 
@@ -793,23 +772,6 @@ class LiveNode:
             if self._wants_link(link.peer_id):
                 self._ensure_link(link.peer_id)
 
-    async def _peer_read_loop(self, link: _PeerLink,
-                              reader: asyncio.StreamReader) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                for frame in decoder.feed(data):
-                    self._process_peer_frame(link, frame)
-        except WireError as exc:
-            self._log(f"dropping corrupt link to {link.peer_id}: {exc}")
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._link_closed(link)
-
     def _process_peer_frame(self, link: _PeerLink, frame: dict) -> None:
         # Any frame from the peer proves life: clear suspicion/backoff.
         self._peer_alive(link.peer_id)
@@ -862,9 +824,15 @@ class LiveNode:
     # ------------------------------------------------------------------
 
     async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+                             writer: asyncio.StreamWriter,
+                             link: Optional[_PeerLink] = None) -> None:
+        """Decode and dispatch one connection's frames until it closes.
+
+        An accepted connection arrives without a ``link`` and becomes a
+        peer link on ``hello`` or a client session on anything else; a
+        dialed one (:meth:`_dial`) is a registered peer link already.
+        """
         decoder = FrameDecoder()
-        link: Optional[_PeerLink] = None
         stop_after = False
         try:
             while not stop_after:
@@ -886,7 +854,8 @@ class LiveNode:
                         if stop_after:
                             break
         except WireError as exc:
-            self._log(f"dropping corrupt connection: {exc}")
+            who = "connection" if link is None else f"link to {link.peer_id}"
+            self._log(f"dropping corrupt {who}: {exc}")
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -1109,7 +1078,7 @@ async def run_node(config: LiveNodeConfig,
 
 
 def serve(config: LiveNodeConfig) -> int:
-    """Blocking entry point used by ``repro node serve|join``."""
+    """Blocking entry point used by ``repro node serve``."""
     try:
         asyncio.run(run_node(config))
     except ConnectionError as exc:

@@ -15,25 +15,21 @@ duck-typed dependencies —
   a shared base class, so conformance is ``isinstance``.
 
 The clock and the daemon-side router share no code between the two
-worlds, so their seams are stated here as Protocols and
-``tests/test_live_node.py`` asserts both implementations satisfy
-:func:`missing_clock_api` / :func:`missing_router_methods`.
+worlds, so their seams are stated here as runtime-checkable Protocols
+and ``tests/test_live_node.py`` asserts both implementations are
+``isinstance`` of them.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Protocol, Tuple
+from typing import Any, Protocol, runtime_checkable
 
 from repro.sim.network import Message, NodeId
 
-__all__ = [
-    "ClockSeam",
-    "RouterSeam",
-    "missing_clock_api",
-    "missing_router_methods",
-]
+__all__ = ["ClockSeam", "RouterSeam"]
 
 
+@runtime_checkable
 class ClockSeam(Protocol):
     """What node logic, timers and recovery need of a clock."""
 
@@ -48,6 +44,7 @@ class ClockSeam(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+@runtime_checkable
 class RouterSeam(Protocol):
     """What :class:`~repro.net.transport.LiveTransport` needs of the
     daemon it routes for.
@@ -69,26 +66,3 @@ class RouterSeam(Protocol):
         self, src: NodeId, dst: NodeId, message: Message, direct: bool
     ) -> bool:
         ...  # pragma: no cover - protocol definition
-
-
-#: Method surface of :class:`RouterSeam`, for conformance checks.
-ROUTER_METHODS: Tuple[str, ...] = ("is_peer", "call_soon", "send_wire")
-
-
-def missing_router_methods(router: Any) -> List[str]:
-    """Names of seam methods ``router`` fails to provide."""
-    return [
-        name for name in ROUTER_METHODS
-        if not callable(getattr(router, name, None))
-    ]
-
-
-def missing_clock_api(clock: Any) -> List[str]:
-    """Names of seam members ``clock`` fails to provide."""
-    missing = []
-    if not hasattr(clock, "now"):
-        missing.append("now")
-    if not callable(getattr(clock, "schedule", None)):
-        missing.append("schedule")
-    return missing
-

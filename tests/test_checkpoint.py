@@ -32,6 +32,7 @@ from repro.persistence import (
 )
 from repro.persistence.checkpoint import FORMAT_VERSION, MAGIC
 from repro.scenarios import SCENARIOS, Quiet, Scenario, with_chaos
+from repro.sim.engine import SimulatorError
 
 
 def canonical(summary) -> bytes:
@@ -200,18 +201,17 @@ def test_auto_checkpoint_by_simulated_seconds(tmp_path):
 
 
 def test_checkpoint_config_knobs(tmp_path):
-    config = tiny_config(
-        checkpoint_path=str(tmp_path / "cfg.ckpt"),
-        checkpoint_every_events=150,
-    )
     expected = CupNetwork(tiny_config()).run()
-    assert canonical(CupNetwork(config).run()) == canonical(expected)
-    assert (tmp_path / "cfg.ckpt").exists()
-    with pytest.raises(ValueError):
-        tiny_config(checkpoint_every_events=0).validate()
-    with pytest.raises(ValueError):
-        tiny_config(checkpoint_every_seconds=-1.0).validate()
-    assert DEFAULT_EVERY_EVENTS >= 1
+    net = CupNetwork(tiny_config())
+    net.enable_checkpoints(tmp_path / "cfg.ckpt")
+    assert net._checkpoint_every_events == DEFAULT_EVERY_EVENTS >= 1
+    assert canonical(net.run()) == canonical(expected)
+    for bad in (dict(every_events=0), dict(every_seconds=-1.0)):
+        net = CupNetwork(tiny_config())
+        net.enable_checkpoints(tmp_path / "bad.ckpt", **bad)
+        with pytest.raises(SimulatorError):
+            net.run()
+        assert not (tmp_path / "bad.ckpt").exists()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import (
+    EXPERIMENTS,
+    _node_config_from_args,
+    build_parser,
+    main,
+)
 
 
 class TestParser:
@@ -43,6 +50,81 @@ class TestRunExperiment:
         out = capsys.readouterr().out
         assert "Table 3" in out
         assert status == 0
+
+
+class TestSupervisedRun:
+    @pytest.fixture(autouse=True)
+    def _restore_execution_state(self):
+        from repro.experiments import executor
+
+        yield
+        executor.configure(None)
+        executor.configure_supervision(None)
+        executor.shutdown_pool()
+
+    def test_report_json_then_resume_from_disk(self, tmp_path, capsys):
+        from repro.experiments.runner import clear_cache
+
+        report = tmp_path / "cells.json"
+        argv = [
+            "run", "fig5", "--scale", "tiny", "--seed", "3",
+            "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--report-json", str(report),
+        ]
+        clear_cache()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "per-cell report:" not in first  # nothing retried or failed
+        rows = json.loads(report.read_text())
+        assert rows and all(row["source"] == "run" for row in rows)
+        assert all(row["attempts"] == 1 and row["error"] is None
+                   for row in rows)
+        assert "run cache: 0 hits," in first
+
+        # A later invocation (the memo sits in front of the disk cache,
+        # so forget it as a fresh process would) re-runs nothing.
+        clear_cache()
+        assert main(argv) == 0
+        again = json.loads(report.read_text())
+        assert [row["label"] for row in again] == [r["label"] for r in rows]
+        assert all(row["source"] == "disk" for row in again)
+        assert ", 0 misses, 0 stored" in capsys.readouterr().out
+
+    def test_flags_reach_the_pool_and_failures_are_reported(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core.protocol import CupConfig
+        from repro.experiments import executor
+
+        def doomed(scale, seed):
+            # A harness whose middle cell kills its worker on every
+            # attempt; supervision comes from the command line alone.
+            cells = [
+                executor.Cell(f"c{i}", CupConfig(
+                    num_nodes=16, total_keys=1, seed=seed + i,
+                    query_start=50.0, query_duration=100.0, drain=50.0,
+                ))
+                for i in range(3)
+            ]
+            return executor.execute(cells, worker_faults={
+                "c1": executor.WorkerFault("sigkill", times=9),
+            })
+
+        monkeypatch.setitem(EXPERIMENTS, "fig5", ("doomed", doomed))
+        report = tmp_path / "cells.json"
+        status = main([
+            "run", "fig5", "--scale", "tiny", "--no-cache",
+            "--workers", "2", "--max-retries", "1",
+            "--retry-backoff", "0.01", "--report-json", str(report),
+        ])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "fig5 FAILED" in out and "'c1': worker died" in out
+        assert "per-cell report:" in out
+        rows = {row["label"]: row for row in json.loads(report.read_text())}
+        assert rows["c1"]["source"] == "failed"
+        assert rows["c1"]["attempts"] == 2 and rows["c1"]["retries"] == 1
+        assert rows["c0"]["source"] == rows["c2"]["source"] == "run"
 
 
 class TestScenariosCommands:
@@ -94,7 +176,10 @@ class TestScenariosCommands:
 
 class TestChaosCommand:
     def test_chaos_wraps_and_audits_a_scenario(self, capsys):
-        status = main(["chaos", "steady-state", "--seed", "7"])
+        status = main([
+            "scenarios", "run", "steady-state", "--seed", "7",
+            "--loss", "0.2", "--duplicate", "0.1", "--jitter", "0.1",
+        ])
         out = capsys.readouterr().out
         assert status == 0
         assert "steady-state+chaos" in out
@@ -103,23 +188,21 @@ class TestChaosCommand:
 
     def test_chaos_custom_fault_rates(self, capsys):
         status = main([
-            "chaos", "steady-state", "--seed", "7",
-            "--loss", "0.1", "--duplicate", "0.0", "--jitter", "0.0",
+            "scenarios", "run", "steady-state", "--seed", "7",
+            "--loss", "0.1",
         ])
+        out = capsys.readouterr().out
         assert status == 0
-        assert "lost=" in capsys.readouterr().out
+        assert "lost=" in out
+        assert "duplicated=0" in out
 
-    def test_chaos_rejects_all_zero_faults(self, capsys):
+    def test_chaos_needs_the_invariant_checker(self, capsys):
         status = main([
-            "chaos", "steady-state",
-            "--loss", "0", "--duplicate", "0", "--jitter", "0",
+            "scenarios", "run", "steady-state",
+            "--loss", "0.1", "--no-invariants",
         ])
         assert status == 2
-        assert "at least one" in capsys.readouterr().err
-
-    def test_chaos_unknown_scenario(self, capsys):
-        assert main(["chaos", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        assert "--no-invariants" in capsys.readouterr().err
 
 
 class TestProfileCommand:
@@ -157,22 +240,30 @@ class TestNodeCommands:
             build_parser().parse_args(["node"])
 
     def test_serve_defaults(self):
-        args = build_parser().parse_args(["node", "serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 9400
-        assert args.mode == "cup"
-        assert args.policy == "second-chance"
-        assert not args.no_invariants
-        assert not args.no_recovery
-
-    def test_join_requires_at_least_one_peer(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["node", "join"])
-        args = build_parser().parse_args(
-            ["node", "join", "10.0.0.1:9400", "10.0.0.2:9400"]
+        config = _node_config_from_args(
+            build_parser().parse_args(["node", "serve"])
         )
-        assert args.peers == ["10.0.0.1:9400", "10.0.0.2:9400"]
-        assert args.port == 0  # joiners default to an OS-assigned port
+        assert config.host == "127.0.0.1"
+        assert config.port == 9400
+        assert config.peers == ()
+        assert config.mode == "cup"
+        assert config.policy == "second-chance"
+        assert config.invariants
+        assert config.recovery
+
+    def test_serve_port_follows_the_peers(self):
+        def config(*argv):
+            return _node_config_from_args(
+                build_parser().parse_args(["node", "serve", *argv])
+            )
+
+        joiner = config("10.0.0.1:9400", "10.0.0.2:9400")
+        assert joiner.peers == ("10.0.0.1:9400", "10.0.0.2:9400")
+        assert joiner.port == 0  # joiners default to an OS-assigned port
+        assert config("10.0.0.1:9400", "--port", "9555").port == 9555
+        assert config("--port", "0").port == 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["node", "join", "10.0.0.1:9400"])
 
     def test_serve_mode_choices_enforced(self):
         with pytest.raises(SystemExit):

@@ -20,9 +20,15 @@ from repro.experiments.executor import (
     execute,
     run_cell,
 )
-from repro.experiments.runner import clear_cache, run_config, run_pair
+from repro.experiments.runner import (
+    UNKEYED_FIELDS,
+    clear_cache,
+    run_config,
+    run_pair,
+)
 from repro.metrics.collector import MetricsSummary
 from repro.experiments.runcache import RunCache
+from repro.scenarios import MessageLoss, Scenario
 
 
 def tiny_config(**overrides) -> CupConfig:
@@ -261,6 +267,40 @@ class TestFaultCells:
         assert execute([Cell("f2", config, spec)])["f2"] is faulted
         assert run_counter["n"] == 2
         assert faulted != plain
+
+
+class TestCellKey:
+    def test_every_config_field_is_keyed_or_excluded(self):
+        def perturbed(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, (int, float)):
+                return value + 1
+            return 7 if value is None else value + "-x"
+
+        base = CupConfig()
+        for field in dataclasses.fields(CupConfig):
+            changed = base.variant(
+                **{field.name: perturbed(getattr(base, field.name))}
+            )
+            keyed = cell_key(Cell("c", changed)) != cell_key(Cell("c", base))
+            assert keyed == (field.name not in UNKEYED_FIELDS), field.name
+
+    def test_recovery_twin_is_not_deduplicated(self, run_counter):
+        lossy = Scenario(
+            "lossy", "loss over steady traffic",
+            (MessageLoss(duration=300.0, rate=0.3),),
+        )
+        config = tiny_config()
+        cells = [
+            Cell("reliable", config, scenario=lossy),
+            Cell("recovering", config.variant(reliable_transport=False),
+                 scenario=lossy),
+        ]
+        assert cell_key(cells[0]) != cell_key(cells[1])
+        results = execute(cells)
+        assert run_counter["n"] == 2
+        assert results["reliable"] != results["recovering"]
 
 
 class TestWorkerConfiguration:

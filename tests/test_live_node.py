@@ -24,7 +24,7 @@ from repro.core.messages import (
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import LiveClock
 from repro.net.daemon import LiveNode, LiveNodeConfig
-from repro.net.seam import missing_clock_api, missing_router_methods
+from repro.net.seam import ClockSeam, RouterSeam
 from repro.net.transport import LiveTransport
 from repro.net.wire import FrameDecoder, encode_frame
 from repro.sim.engine import Simulator
@@ -134,13 +134,15 @@ def test_hop_ledger_parity_both_worlds():
 
 
 def test_clock_seam_conformance_both_worlds():
-    assert missing_clock_api(Simulator()) == []
-    assert missing_clock_api(LiveClock()) == []
+    assert isinstance(Simulator(), ClockSeam)
+    assert isinstance(LiveClock(), ClockSeam)
+    assert not isinstance(object(), ClockSeam)
 
 
 def test_router_seam_conformance():
-    assert missing_router_methods(_NullRouter()) == []
-    assert missing_router_methods(LiveNode(LiveNodeConfig(port=0))) == []
+    assert isinstance(_NullRouter(), RouterSeam)
+    assert isinstance(LiveNode(LiveNodeConfig(port=0)), RouterSeam)
+    assert not isinstance(LiveClock(), RouterSeam)
 
 
 def test_live_clock_tracks_wall_time():

@@ -89,22 +89,6 @@ class TestRecoveryConfig:
         with pytest.raises(ValueError):
             RecoveryConfig(**bad)
 
-    def test_cup_config_resolves_recovery_knobs(self):
-        config = CupConfig(
-            num_nodes=8, reliable_transport=False,
-            recovery_max_retries=2, recovery_base_timeout=0.25,
-        )
-        resolved = config.resolved_recovery()
-        assert resolved.max_retries == 2
-        assert resolved.base_timeout == 0.25
-
-    def test_invalid_recovery_knobs_rejected_at_validate(self):
-        config = CupConfig(
-            num_nodes=8, reliable_transport=False, recovery_backoff=0.0
-        )
-        with pytest.raises(ValueError):
-            config.validate()
-
 
 class TestStamping:
     def test_sequences_monotonic_per_link(self):
