@@ -11,9 +11,13 @@ protocol core as the simulator, over real sockets:
    authority — and ``get`` it from every node: each must return the
    entry, and CUP's first-time update must leave the subscribers with a
    *local* copy (the second get reports ``hit``);
-4. ``put`` a refresh and watch the new sequence number propagate to a
+4. time 20 first gets of fresh keys, each at a node that is not the
+   key's authority, and state their median and maximum: a miss costs
+   what the network costs, so a median of 20 ms or more — what every
+   miss cost while the daemon polled for its answer — fails the drill;
+5. ``put`` a refresh and watch the new sequence number propagate to a
    subscriber without it asking again (push, not pull);
-5. run the invariant checker's quiescence audit on every node — zero
+6. run the invariant checker's quiescence audit on every node — zero
    violations — then stop all three gracefully.
 
 Exit status 0 means the drill passed.
@@ -22,6 +26,7 @@ Exit status 0 means the drill passed.
 import argparse
 import os
 import socket
+import statistics
 import subprocess
 import sys
 import time
@@ -92,7 +97,7 @@ def main() -> int:
     daemons = []
     failures = []
     try:
-        print(f"[1/5] launching 3 daemons on {addresses}")
+        print(f"[1/6] launching 3 daemons on {addresses}")
         daemons.append(spawn(["serve", "--port", str(ports[0])]))
         wait_ready(addresses[0], deadline)
         for port, address in zip(ports[1:], addresses[1:]):
@@ -101,10 +106,10 @@ def main() -> int:
             ))
             wait_ready(address, deadline)
 
-        print("[2/5] waiting for a converged 3-member view everywhere")
+        print("[2/6] waiting for a converged 3-member view everywhere")
         wait_members(addresses, deadline)
 
-        print("[3/5] put at node A, get everywhere")
+        print("[3/6] put at node A, get everywhere")
         key = "live-smoke/key"
         with NodeClient(addresses[0]) as client:
             put_reply = client.put(key, "replica-1", address="host-a",
@@ -134,7 +139,36 @@ def main() -> int:
                 f"hit: {repeat}"
             )
 
-        print("[4/5] refresh the replica; the push must reach a "
+        print("[4/6] time 20 first gets of fresh keys, each at a "
+              "non-authority")
+        clients = {address: NodeClient(address) for address in addresses}
+        try:
+            cold_ms = []
+            for i in range(20):
+                cold = f"live-smoke/cold-{i}"
+                owner = clients[addresses[0]].put(
+                    cold, "replica-1", address="host-a",
+                    lifetime=args.lifetime)["authority"]
+                # The birth must have landed before the miss is timed.
+                clients[owner].get(cold, timeout=10.0)
+                reader = next(a for a in addresses if a != owner)
+                began = time.perf_counter()
+                reply = clients[reader].get(cold, timeout=10.0)
+                cold_ms.append((time.perf_counter() - began) * 1e3)
+                if not reply.get("ok") or reply.get("hit"):
+                    failures.append(f"first get of {cold!r} at {reader} "
+                                    f"was not an answered miss: {reply}")
+        finally:
+            for client in clients.values():
+                client.close()
+        median_ms = statistics.median(cold_ms)
+        print(f"      first get: median {median_ms:.2f} ms, "
+              f"max {max(cold_ms):.2f} ms")
+        if median_ms >= 20.0:
+            failures.append(f"median first get took {median_ms:.2f} ms: "
+                            "a miss is waiting on a timer again")
+
+        print("[5/6] refresh the replica; the push must reach a "
               "subscriber unprompted")
         with NodeClient(addresses[0]) as client:
             client.put(key, "replica-1", address="host-a",
@@ -158,7 +192,7 @@ def main() -> int:
         print(f"      subscriber {subscriber} holds sequence {got} "
               f"as a local hit")
 
-        print("[5/5] quiescence audit on every node, then stop")
+        print("[6/6] quiescence audit on every node, then stop")
         for address in addresses:
             with NodeClient(address) as client:
                 audit = client.audit()

@@ -24,11 +24,31 @@ module touches the transport.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Set
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.core.entry import IndexEntry
 from repro.sim.network import NodeId
+
+#: What ``interest`` / ``waiting`` and ``justification_deadlines`` hold
+#: while they hold nothing.  Most key states never gain a subscriber (a
+#: leaf has nobody below it) and owe no justification most of the time,
+#: so three private containers would be the bulk of what an idle key
+#: costs (an empty ``set`` is 216 B, a ``deque`` 760 B, the rest of a
+#: fresh state about 300 B).  One immutable empty is shared instead: the
+#: first add swaps in a private ``set`` / ``list`` and clearing swaps
+#: the empty back.  Always test these attributes by truth, never by
+#: identity: a pickled state restores with empties of its own.
+NO_NEIGHBORS: AbstractSet[NodeId] = frozenset()
+NO_DEADLINES: Sequence[float] = ()
 
 
 class KeyState:
@@ -68,13 +88,13 @@ class KeyState:
         self.entries: Dict[str, IndexEntry] = {}
         self.pending_first_update = False
         self.pending_since = 0.0
-        self.interest: Set[NodeId] = set()
+        self.interest: AbstractSet[NodeId] = NO_NEIGHBORS
         # Neighbors owed a first-time response: the subset of `interest`
         # whose queries were coalesced behind the current PFU.  First-time
         # updates fan out to these; maintenance updates fan out to all of
         # `interest`.  Keeping them separate prevents a response from
         # being broadcast to long-subscribed neighbors that asked nothing.
-        self.waiting: Set[NodeId] = set()
+        self.waiting: AbstractSet[NodeId] = NO_NEIGHBORS
         self.local_waiters = 0
         self.popularity = 0
         self.policy_state: Any = None
@@ -89,7 +109,7 @@ class KeyState:
         self.authority_epoch = -1
         self.designated_replica: Optional[str] = None
         self.clear_bit_sent = False
-        self.justification_deadlines: Deque[float] = deque()
+        self.justification_deadlines: Sequence[float] = NO_DEADLINES
         # Memoized deterministic fan-out order (see sorted_interest).
         self._interest_sorted: Optional[tuple] = None
         # Conservative lower bound on the earliest entry expiration: the
@@ -189,14 +209,22 @@ class KeyState:
 
     def register_interest(self, neighbor: NodeId) -> None:
         """Set the neighbor's interest bit (it asked about this key)."""
-        if neighbor not in self.interest:
-            self.interest.add(neighbor)
+        interest = self.interest
+        if neighbor not in interest:
+            if interest:
+                interest.add(neighbor)
+            else:
+                self.interest = {neighbor}
             self._interest_sorted = None
 
     def clear_interest(self, neighbor: NodeId) -> bool:
         """Clear the neighbor's interest bit; True if it was set."""
-        if neighbor in self.interest:
-            self.interest.discard(neighbor)
+        interest = self.interest
+        if neighbor in interest:
+            if len(interest) == 1:
+                self.interest = NO_NEIGHBORS
+            else:
+                interest.discard(neighbor)
             self._interest_sorted = None
             return True
         return False
@@ -204,13 +232,16 @@ class KeyState:
     def clear_all_interest(self) -> None:
         """Drop every interest bit (standard caching after a response)."""
         if self.interest:
-            self.interest.clear()
+            self.interest = NO_NEIGHBORS
             self._interest_sorted = None
 
     def drop_departed_neighbors(self, alive: Set[NodeId]) -> None:
         """Patch the bit vector after churn (§2.9): keep only live nodes."""
-        self.interest &= alive
-        self.waiting &= alive
+        # Guarded: ``&=`` on the shared empty would bind a fresh frozenset.
+        if self.interest:
+            self.interest &= alive
+        if self.waiting:
+            self.waiting &= alive
         self._interest_sorted = None
 
     def sorted_interest(self) -> tuple:
@@ -238,8 +269,11 @@ class KeyState:
     def record_justification_window(self, deadline: float) -> None:
         """Remember that an update applied here must see a query by
         ``deadline`` to be justified."""
-        if len(self.justification_deadlines) < self.MAX_JUSTIFICATION_WINDOWS:
-            self.justification_deadlines.append(deadline)
+        deadlines = self.justification_deadlines
+        if not deadlines:
+            self.justification_deadlines = [deadline]
+        elif len(deadlines) < self.MAX_JUSTIFICATION_WINDOWS:
+            deadlines.append(deadline)
 
     def settle_justification(self, now: float) -> tuple[int, int]:
         """Resolve pending windows against a query arriving at ``now``.
@@ -250,20 +284,27 @@ class KeyState:
         """
         justified = 0
         unjustified = 0
-        while self.justification_deadlines:
-            deadline = self.justification_deadlines.popleft()
+        for deadline in self.justification_deadlines:
             if deadline >= now:
                 justified += 1
             else:
                 unjustified += 1
+        self.justification_deadlines = NO_DEADLINES
         return justified, unjustified
 
     def expire_justification(self, now: float) -> int:
         """Count (and drop) windows that closed before ``now`` unseen."""
+        deadlines = self.justification_deadlines
         expired = 0
-        while self.justification_deadlines and self.justification_deadlines[0] < now:
-            self.justification_deadlines.popleft()
+        for deadline in deadlines:
+            if deadline >= now:
+                break
             expired += 1
+        if expired:
+            # A list, not a deque: with at most MAX_JUSTIFICATION_WINDOWS
+            # items the front delete costs nothing, and one window is
+            # 64 B where a deque is 760.
+            del deadlines[:expired]
         return expired
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.cache import KeyState, NodeCache
+from repro.core.cache import NO_NEIGHBORS, KeyState, NodeCache
 from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
 from repro.core.messages import (
     ClearBitMessage,
@@ -292,7 +292,10 @@ class CupNode:
 
         if from_neighbor is not None:
             state.register_interest(from_neighbor)
-            state.waiting.add(from_neighbor)
+            if state.waiting:
+                state.waiting.add(from_neighbor)
+            else:
+                state.waiting = {from_neighbor}
         if state.pending_first_update:
             if now - state.pending_since <= self.pfu_timeout:
                 # Cases 2/3 with the flag already set: coalesce.
@@ -438,10 +441,15 @@ class CupNode:
 
         if self.track_justification:
             deadlines = state.justification_deadlines
-            if deadlines and deadlines[0] < now:
-                metrics.unjustified_updates += state.expire_justification(now)
-            if len(deadlines) < state.MAX_JUSTIFICATION_WINDOWS:
-                deadlines.append(update.expiry)
+            if not deadlines:
+                state.justification_deadlines = [update.expiry]
+            else:
+                if deadlines[0] < now:
+                    metrics.unjustified_updates += (
+                        state.expire_justification(now)
+                    )
+                if len(deadlines) < state.MAX_JUSTIFICATION_WINDOWS:
+                    deadlines.append(update.expiry)
 
         # Cut-off trigger decision (one evaluation per maintenance
         # update): the naive variant triggers on every update, the
@@ -510,17 +518,18 @@ class CupNode:
                 # satisfies a degraded pull for this key.
                 recovery.note_refreshed(key)
             self._answer_local_waiters(state)
-            starved = state.waiting.difference(delivered)
-            starved.discard(sender)
-            if starved:
-                response = UpdateMessage(
-                    key, UpdateType.FIRST_TIME,
-                    tuple(state.fresh_entries(now)), None, now,
-                )
-                self._push_updates(
-                    tuple(sorted(starved, key=str)), response
-                )
-            state.waiting.clear()
+            if state.waiting:
+                starved = state.waiting.difference(delivered)
+                starved.discard(sender)
+                if starved:
+                    response = UpdateMessage(
+                        key, UpdateType.FIRST_TIME,
+                        tuple(state.fresh_entries(now)), None, now,
+                    )
+                    self._push_updates(
+                        tuple(sorted(starved, key=str)), response
+                    )
+                state.waiting = NO_NEIGHBORS
 
         if triggering:
             # Popularity counts queries between consecutive (triggering)
@@ -590,7 +599,7 @@ class CupNode:
                 ),
                 update,
             )
-            state.waiting.clear()
+            state.waiting = NO_NEIGHBORS
         if not self.persistent_interest:
             state.clear_all_interest()
             return

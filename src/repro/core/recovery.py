@@ -36,9 +36,8 @@ the golden-pin byte-identity of the reliable path is preserved.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.core.messages import NackMessage, UpdateMessage
 from repro.sim.network import NodeId
@@ -149,7 +148,7 @@ class RecoveryManager:
         # Sender side: next sequence number and bounded retransmission
         # buffer, both per (neighbor, key).
         self._send_seq: Dict[Tuple[NodeId, str], int] = {}
-        self._sent: Dict[Tuple[NodeId, str], Deque[UpdateMessage]] = {}
+        self._sent: Dict[Tuple[NodeId, str], List[UpdateMessage]] = {}
         # Receiver side: highest sequence seen per (sender, key), plus
         # open gaps awaiting retransmission.
         self._recv_high: Dict[Tuple[NodeId, str], int] = {}
@@ -175,9 +174,11 @@ class RecoveryManager:
         update.hop_seq = seq
         buffer = self._sent.get(link)
         if buffer is None:
-            buffer = deque(maxlen=self.config.buffer_size)
-            self._sent[link] = buffer
-        buffer.append(update)
+            self._sent[link] = [update]
+        else:
+            buffer.append(update)
+            if len(buffer) > self.config.buffer_size:
+                del buffer[0]
 
     def handle_nack(self, message: NackMessage, child: NodeId) -> None:
         """Retransmit buffered envelopes a child reports as missing.

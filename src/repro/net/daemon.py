@@ -71,9 +71,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import math
 import random
 import sys
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.keepalive import KeepAliveMonitor
 from repro.core.messages import ReplicaEvent, ReplicaMessage
@@ -275,6 +276,9 @@ class LiveNode:
         self._gc_process: Optional[PeriodicProcess] = None
         self._stopped = asyncio.Event()
         self._stopping = False
+        #: Client gets waiting for fresh entries, filed under their key;
+        #: each future resolves when its get should look again.
+        self._get_waiters: Dict[str, List[asyncio.Future]] = {}
 
     # ------------------------------------------------------------------
     # Network surface (read by the invariant checker, beside overlay /
@@ -288,6 +292,24 @@ class LiveNode:
     @property
     def nodes(self) -> Dict[str, CupNode]:
         return {} if self.node is None else {self.node_id: self.node}
+
+    # ------------------------------------------------------------------
+    # Transport handler: registered for this node's id, in front of the
+    # hosted CupNode
+    # ------------------------------------------------------------------
+
+    def receive(self, message, sender) -> None:
+        """Let the core handle ``message``, then wake the key's gets.
+
+        What a waiting get tests — fresh entries for its key, in the
+        cache or the authority index — changes only inside the core's
+        handler (or with the membership), so the update that answers a
+        get is also what wakes it.
+        """
+        self.node.receive(message, sender)
+        if self._get_waiters:
+            # Keep-alives carry no key.
+            _wake(self._get_waiters.get(getattr(message, "key", None), ()))
 
     # ------------------------------------------------------------------
     # Router interface (consumed by LiveTransport)
@@ -345,7 +367,7 @@ class LiveNode:
             pfu_timeout=config.pfu_timeout,
             recovery_config=RecoveryConfig() if config.recovery else None,
         )
-        self.transport.register(self.node_id, self.node)
+        self.transport.register(self.node_id, self)
         if config.invariants:
             from repro.invariants.checker import InvariantChecker
 
@@ -530,6 +552,11 @@ class LiveNode:
     def _keepalive_targets(self):
         return self.overlay.neighbors(self.node_id)
 
+    def _wake_all_gets(self) -> None:
+        # Any key's authority may have moved with the membership.
+        for waiters in self._get_waiters.values():
+            _wake(waiters)
+
     def _add_member(self, member: str) -> bool:
         if member in self.members:
             return False
@@ -542,6 +569,7 @@ class LiveNode:
         self.overlay.join(member)
         if self.checker is not None:
             self.checker.on_membership_change("join", member)
+        self._wake_all_gets()
         return True
 
     def _remove_member(self, member: str, reason: str) -> None:
@@ -555,6 +583,7 @@ class LiveNode:
         self.node.patch_after_churn(self.members)
         if self.checker is not None:
             self.checker.on_membership_change(reason, member)
+        self._wake_all_gets()
         link = self._conns.pop(member, None)
         if link is not None:
             if link.reader_task is not None:
@@ -925,43 +954,72 @@ class LiveNode:
 
     async def _client_get(self, frame: dict) -> dict:
         key = frame["key"]
-        timeout = float(frame.get("timeout", 5.0))
+        timeout = frame.get("timeout", 5.0)
+        if (isinstance(timeout, bool)
+                or not isinstance(timeout, (int, float))
+                or not math.isfinite(timeout) or timeout < 0):
+            # json.loads accepts NaN and Infinity, and neither ever
+            # reaches the deadline below.
+            return {"t": "error", "error": "timeout must be a finite "
+                                           f"number >= 0, got {timeout!r}"}
         node = self.node
         loop = self.clock.loop
         deadline = loop.time() + timeout
-        hit = node.post_local_query(key)
+        node.post_local_query(key)
         last_query = loop.time()
         state = node.cache.get_or_create(key)
+        hit = True
         while True:
             now = self.clock.now
-            if node._is_authority(key, state):
+            at_authority = node._is_authority(key, state)
+            if at_authority:
                 entries = list(
                     node.authority_index.fresh_entries(key, now)
                 )
                 if entries:
                     break
-                # The authoritative index is empty: keep polling — a
+                # The authoritative index is empty: keep waiting — a
                 # birth may still be in flight — until the deadline
                 # reports an authoritative miss.
             elif state.has_fresh(now):
                 entries = list(state.fresh_entries(now))
                 break
+            hit = False
             remaining = deadline - loop.time()
             if remaining <= 0:
                 return {"t": "result", "ok": False, "hit": False,
                         "key": key, "entries": [],
                         "error": f"no fresh entries within {timeout}s"}
-            if loop.time() - last_query >= 1.0:
-                # Re-post past the PFU timeout so a query frame lost to
-                # a mid-dial window gets re-pushed upstream.
-                node.post_local_query(key)
-                last_query = loop.time()
-            await asyncio.sleep(min(0.02, max(remaining, 0.001)))
+            if not at_authority:
+                # At the authority nothing is upstream to re-push to.
+                if loop.time() - last_query >= 1.0:
+                    # Re-post past the PFU timeout so a query frame lost
+                    # to a mid-dial window gets re-pushed upstream.
+                    node.post_local_query(key)
+                    last_query = loop.time()
+                remaining = min(remaining, last_query + 1.0 - loop.time())
+            await self._wait_for_key(key, remaining)
         return {
             "t": "result", "ok": True, "hit": hit, "key": key,
             "entries": [entry_to_wire(e) for e in entries],
             "authority": self.overlay.authority(key),
         }
+
+    async def _wait_for_key(self, key: str, wait: float) -> None:
+        """Sleep until :meth:`receive` handles a message for ``key``, the
+        membership changes, or ``wait`` seconds pass."""
+        loop = self.clock.loop
+        waiter = loop.create_future()
+        waiters = self._get_waiters.setdefault(key, [])
+        waiters.append(waiter)
+        timer = loop.call_later(wait, _wake, (waiter,))
+        try:
+            await waiter
+        finally:
+            timer.cancel()
+            waiters.remove(waiter)
+            if not waiters:
+                del self._get_waiters[key]
 
     def _client_info(self) -> dict:
         checker = self.checker
@@ -1052,6 +1110,13 @@ class LiveNode:
         if not self.config.quiet:
             prefix = self.node_id or f"{self.config.host}:?"
             print(f"[{prefix}] {text}", flush=True)
+
+
+def _wake(waiters) -> None:
+    """Resolve every pending future in ``waiters``."""
+    for waiter in waiters:
+        if not waiter.done():
+            waiter.set_result(None)
 
 
 def _immediate(value):

@@ -49,6 +49,7 @@ import dataclasses
 import os
 from typing import Optional, Tuple
 
+from repro.core.cache import NO_DEADLINES, NO_NEIGHBORS
 from repro.persistence.checkpoint import (
     CheckpointFormatError,
     atomic_write,
@@ -125,8 +126,8 @@ def sanitize_restored(state: NodeState, now: float) -> int:
         key_state.pending_first_update = False
         key_state.pending_since = 0.0
         key_state.local_waiters = 0
-        key_state.waiting.clear()
-        key_state.justification_deadlines.clear()
+        key_state.waiting = NO_NEIGHBORS
+        key_state.justification_deadlines = NO_DEADLINES
         key_state.parent_epoch = -1
         key_state.distance_epoch = -1
         key_state.authority_epoch = -1

@@ -1,5 +1,10 @@
 """Unit tests for per-key node state and the node cache."""
 
+import pickle
+import tracemalloc
+
+from helpers import MicroNet
+
 from repro.core.cache import KeyState, NodeCache
 from repro.core.entry import IndexEntry
 
@@ -70,8 +75,9 @@ class TestInterestBits:
 
     def test_drop_departed_neighbors(self):
         state = KeyState("k")
-        state.interest.update({"a", "b", "c"})
-        state.waiting.update({"a", "c"})
+        for neighbor in "abc":
+            state.register_interest(neighbor)
+        state.waiting = {"a", "c"}
         state.drop_departed_neighbors({"a", "b"})
         assert state.interest == {"a", "b"}
         assert state.waiting == {"a"}
@@ -101,6 +107,88 @@ class TestJustification:
             len(state.justification_deadlines)
             == KeyState.MAX_JUSTIFICATION_WINDOWS
         )
+
+
+class TestSharedEmpties:
+    """A key state costs what it holds: no container until a first add."""
+
+    CONTAINERS = ("interest", "waiting", "justification_deadlines")
+
+    def test_fresh_states_share_their_empties(self):
+        a, b = KeyState("a"), KeyState("b")
+        for name in self.CONTAINERS:
+            assert not getattr(a, name)
+            assert getattr(a, name) is getattr(b, name)
+
+    def test_fresh_state_allocates_under_500_bytes(self):
+        keys = [f"k{i}" for i in range(1000)]
+        states = [None] * len(keys)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, key in enumerate(keys):
+                states[i] = KeyState(key)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 1,456 B with a private deque and two private sets per state.
+        assert allocated / len(keys) <= 500
+
+    def test_first_add_gives_each_state_a_private_container(self):
+        a, b = KeyState("a"), KeyState("b")
+        for state in (a, b):
+            state.register_interest("n1")
+            state.record_justification_window(10.0)
+        a.register_interest("n2")
+        a.record_justification_window(20.0)
+        assert (a.interest, b.interest) == ({"n1", "n2"}, {"n1"})
+        assert isinstance(b.interest, set)
+        assert a.justification_deadlines == [10.0, 20.0]
+        assert b.justification_deadlines == [10.0]
+        assert not KeyState("c").interest
+
+    def test_coalesced_neighbor_query_gets_a_private_waiting_set(self):
+        net = MicroNet()
+        net.seed_authority("k")
+        net.node(2).post_local_query("k")
+        net.sim.run_until(0.015)  # n1 holds n2's query; no answer yet
+        relay = net.node(1).cache.get("k")
+        assert relay.waiting == {"n2"} and isinstance(relay.waiting, set)
+        assert not net.node(2).cache.get("k").waiting
+        assert not KeyState("other").waiting
+        net.settle()
+        assert not relay.waiting
+        assert relay.waiting is KeyState("other").waiting  # re-bound
+
+    def test_clearing_rebinds_the_shared_empty(self):
+        state, fresh = KeyState("k"), KeyState("fresh")
+        state.register_interest("n1")
+        assert state.clear_interest("n1")
+        assert state.interest is fresh.interest
+        state.register_interest("n1")
+        state.clear_all_interest()
+        assert state.interest is fresh.interest
+        state.record_justification_window(10.0)
+        state.settle_justification(now=5.0)
+        assert state.justification_deadlines is fresh.justification_deadlines
+
+    def test_restored_empty_state_accepts_first_adds(self):
+        # A pickle round trip hands back empties of its own: nothing may
+        # rely on the shared objects' identity.
+        state = pickle.loads(pickle.dumps(KeyState("k")))
+        state.drop_departed_neighbors({"n1"})
+        state.register_interest("n1")
+        state.record_justification_window(10.0)
+        assert state.interest == {"n1"}
+        assert state.settle_justification(now=5.0) == (1, 0)
+        net = MicroNet()
+        net.seed_authority("k")
+        net.node(1).cache.states["k"] = pickle.loads(
+            pickle.dumps(KeyState("k")))
+        net.node(2).post_local_query("k")
+        net.settle()
+        assert net.node(1).cache.get("k").interest == {"n2"}
+        assert net.node(2).cache.get("k").has_fresh(net.sim.now)
 
 
 class TestLifecycle:
@@ -166,7 +254,8 @@ class TestNodeCache:
     def test_patch_interest_after_churn(self):
         cache = NodeCache()
         a = cache.get_or_create("a")
-        a.interest.update({"n1", "dead"})
+        a.register_interest("n1")
+        a.register_interest("dead")
         cache.patch_interest_after_churn({"n1", "n2"})
         assert a.interest == {"n1"}
 

@@ -623,6 +623,171 @@ def test_info_reports_resilience_surface():
     _run_cluster(1, scenario)
 
 
+# ----------------------------------------------------------------------
+# The get path: woken by the update that answers it
+# ----------------------------------------------------------------------
+
+
+def _keys_owned_by(owner, prefix, count):
+    """``count`` keys whose authority is ``owner`` on its current ring."""
+    keys, i = [], 0
+    while len(keys) < count:
+        key = f"{prefix}/{i}"
+        if owner.overlay.authority(key) == owner.node_id:
+            keys.append(key)
+        i += 1
+    return keys
+
+
+async def _give_birth(authority, keys):
+    for key in keys:
+        reply = await authority._client_put(
+            {"key": key, "replica_id": "r1", "address": "a",
+             "lifetime": 120.0})
+        assert reply["authority"] == authority.node_id
+    index = authority.node.authority_index
+    await _poll(lambda: all(
+        index.fresh_entries(key, authority.clock.now) for key in keys))
+
+
+def test_first_gets_cost_the_network_not_a_timer():
+    async def scenario(nodes):
+        authority, reader = nodes
+        keys = _keys_owned_by(authority, "wake/cold", 50)
+        await _give_birth(authority, keys)
+        began = time.monotonic()
+        replies = [await reader._client_get({"key": key}) for key in keys]
+        elapsed = time.monotonic() - began
+        for reply in replies:
+            assert reply["ok"] and reply["hit"] is False, reply
+            assert [e["sequence"] for e in reply["entries"]] == [1]
+        # Fifty waits on a 20 ms poll would be 1.05 s.
+        assert elapsed < 0.5
+        assert reader._get_waiters == {}
+
+    _run_cluster(2, scenario)
+
+
+def test_get_deadline_and_cancellation_leave_no_waiter():
+    async def scenario(nodes):
+        authority, reader = nodes
+        unborn, abandoned = _keys_owned_by(authority, "wake/unborn", 2)
+        began = time.monotonic()
+        reply = await reader._client_get({"key": unborn, "timeout": 0.3})
+        elapsed = time.monotonic() - began
+        assert reply["ok"] is False and reply["hit"] is False
+        assert reply["error"] == "no fresh entries within 0.3s"
+        assert 0.3 <= elapsed < 0.6
+        assert reader._get_waiters == {}
+
+        get = asyncio.ensure_future(reader._client_get({"key": abandoned}))
+        await _poll(lambda: abandoned in reader._get_waiters)
+        get.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await get
+        assert reader._get_waiters == {}
+
+    _run_cluster(2, scenario)
+
+
+def test_get_waiting_at_the_authority_is_woken_by_the_birth():
+    async def scenario(nodes):
+        authority = nodes[0]
+        late, unborn = _keys_owned_by(authority, "wake/late", 2)
+        get = asyncio.ensure_future(authority._client_get({"key": late}))
+        await asyncio.sleep(0.05)
+        assert not get.done()
+        began = time.monotonic()
+        await _give_birth(authority, [late])
+        reply = await asyncio.wait_for(get, timeout=1.0)
+        assert time.monotonic() - began < 1.0  # not the 5 s deadline
+        assert reply["ok"] and reply["hit"] is False, reply
+
+        # Waiting where nothing is upstream is not a stream of hits.
+        metrics = authority.metrics
+        before = (metrics.queries_posted, metrics.local_hits,
+                  metrics.authority_answers)
+        reply = await authority._client_get({"key": unborn, "timeout": 1.3})
+        assert reply["ok"] is False
+        assert (metrics.queries_posted, metrics.local_hits,
+                metrics.authority_answers) == tuple(n + 1 for n in before)
+
+    _run_cluster(2, scenario)
+
+
+def test_concurrent_cold_gets_coalesce_behind_one_query():
+    async def scenario(nodes):
+        authority, reader = nodes
+        key, = _keys_owned_by(authority, "wake/burst", 1)
+        await _give_birth(authority, [key])
+        metrics = reader.metrics
+        forwarded = metrics.queries_forwarded
+        coalesced = metrics.coalesced_queries
+        # gather() runs every get up to its first wait before the loop
+        # can read a reply: all eight post before any answer exists.
+        replies = await asyncio.wait_for(
+            asyncio.gather(*(reader._client_get({"key": key})
+                             for _ in range(8))),
+            timeout=2.0)
+        assert metrics.queries_forwarded == forwarded + 1
+        assert metrics.coalesced_queries == coalesced + 7
+        for reply in replies:
+            assert reply["ok"] and reply["hit"] is False, reply
+            assert [e["sequence"] for e in reply["entries"]] == [1]
+        assert reader._get_waiters == {}
+
+    _run_cluster(2, scenario)
+
+
+def test_swallowed_query_frame_is_answered_by_the_repost():
+    async def scenario(nodes):
+        authority, reader = nodes
+        key, = _keys_owned_by(authority, "wake/lost", 1)
+        await _give_birth(authority, [key])
+        send_wire = reader.send_wire
+        swallowed = []
+
+        def lossy(src, dst, message, direct):
+            if message.kind == "query" and not swallowed:
+                swallowed.append(message)
+                return True
+            return send_wire(src, dst, message, direct)
+
+        reader.send_wire = lossy
+        posted = reader.metrics.queries_posted
+        began = time.monotonic()
+        reply = await reader._client_get({"key": key})
+        elapsed = time.monotonic() - began
+        assert reply["ok"] and reply["hit"] is False, reply
+        assert len(swallowed) == 1
+        assert reader.metrics.queries_posted == posted + 2
+        assert 1.0 <= elapsed < 1.5
+
+    # The re-post only travels once the first query's PFU has timed out.
+    _run_cluster(2, scenario, pfu_timeout=0.5)
+
+
+@pytest.mark.parametrize("timeout", [
+    float("nan"), float("inf"), -1, "soon", True, [1.0],
+])
+def test_get_rejects_a_timeout_that_is_no_deadline(timeout):
+    async def scenario(nodes):
+        node = nodes[0]
+        posted = node.metrics.queries_posted
+        # At the door: NaN and Infinity are valid JSON to json.loads, and
+        # unchecked they pin the handler for the life of the node.
+        reply = await asyncio.wait_for(
+            _socket_request(node, {"t": "get", "key": "wake/bad",
+                                   "timeout": timeout}),
+            timeout=2.0)
+        assert reply["t"] == "error"
+        assert "timeout" in reply["error"]
+        assert node.metrics.queries_posted == posted
+        assert node._get_waiters == {}
+
+    _run_cluster(1, scenario)
+
+
 def test_client_buffers_pipelined_response_frames(monkeypatch):
     # Two responses landing in one recv() must serve two requests in
     # order — the decoded leftover used to be dropped on the floor.

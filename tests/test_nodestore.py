@@ -183,7 +183,7 @@ def test_sanitize_scrubs_volatile_state_and_keeps_fresh_keys():
     live.pending_first_update = True
     live.pending_since = 123.0
     live.local_waiters = 3
-    live.waiting.add(PEER)
+    live.waiting = {PEER}
     live.parent_epoch = 7
     state = state_from_blob(state_to_blob(capture_state(daemon)))
     kept = sanitize_restored(state, now=NOW)

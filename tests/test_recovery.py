@@ -130,6 +130,19 @@ class TestStamping:
         sim.run()
         assert [m.hop_seq for m, _ in inboxes["child"].received] == [9]
 
+    def test_buffer_holds_exactly_the_last_buffer_size_in_order(self):
+        sim, _, inboxes, manager, _, _ = make_manager(node_id="parent")
+        size = manager.config.buffer_size
+        for _ in range(size + 3):
+            manager.stamp("child", make_update())
+        (buffer,) = manager._sent.values()
+        assert [u.hop_seq for u in buffer] == list(range(4, size + 4))
+        manager.handle_nack(
+            NackMessage("k00000", (3, 4, size + 3)), "child")
+        sim.run()
+        assert [m.hop_seq for m, _ in inboxes["child"].received] == [
+            4, size + 3]
+
     def test_nack_for_unknown_link_is_ignored(self):
         sim, _, inboxes, manager, _, _ = make_manager(node_id="parent")
         manager.handle_nack(NackMessage("k00000", (1,)), "child")
