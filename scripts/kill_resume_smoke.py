@@ -7,7 +7,9 @@ the ``kill-resume-smoke`` CI job:
 1. run the macro cell uninterrupted and record its summary;
 2. start the same cell with auto-checkpointing, wait for the first
    checkpoint file to land, then ``SIGKILL`` the process — no warning,
-   no cleanup, exactly what the OOM killer or a pre-empted runner does;
+   no cleanup, exactly what the OOM killer or a pre-empted runner does —
+   and read the surviving file's header: it must say the run was cut
+   mid-way (clock before the end, fewer events than the whole run);
 3. resume from the latest checkpoint and finish;
 4. assert the resumed summary is **byte-identical** to the
    uninterrupted one.
@@ -19,10 +21,13 @@ duplicates, or reorders simulation state shows up as a byte diff here.
 import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+
+from repro.persistence import checkpoint_info
 
 
 def macro_cmd(args, *extra):
@@ -33,6 +38,16 @@ def macro_cmd(args, *extra):
         "--seed", str(args.seed),
         *extra,
     ]
+
+
+def run_to_completion(args, *extra) -> int:
+    """Run one macro phase to its end; return the event count it reports."""
+    done = subprocess.run(
+        macro_cmd(args, *extra), check=True, timeout=args.timeout,
+        stdout=subprocess.PIPE, text=True,
+    )
+    sys.stdout.write(done.stdout)
+    return int(re.search(r"completed in .*, (\d+) events\)", done.stdout)[1])
 
 
 def main() -> int:
@@ -65,10 +80,7 @@ def main() -> int:
 
     print(f"[1/4] uninterrupted run (n={args.nodes}, "
           f"scale={args.scale}, seed={args.seed})")
-    subprocess.run(
-        macro_cmd(args, "--summary-json", straight),
-        check=True, timeout=args.timeout,
-    )
+    straight_events = run_to_completion(args, "--summary-json", straight)
 
     print(f"[2/4] checkpointed run, SIGKILL after the first snapshot "
           f"(cadence {args.every_events} events)")
@@ -95,14 +107,26 @@ def main() -> int:
         print(f"FAIL: victim exited {victim.returncode}, not SIGKILL",
               file=sys.stderr)
         return 1
-    print(f"      killed pid {victim.pid}; checkpoint survives at {ckpt}")
+    info = checkpoint_info(ckpt)
+    size = os.path.getsize(ckpt)
+    print(f"      killed pid {victim.pid}; checkpoint survives at {ckpt}: "
+          f"t={info['sim_now']:.1f}s of {info['sim_end']:.1f}s, "
+          f"{info['events_processed']} of {straight_events} events, "
+          f"{size} bytes = {size // info['num_nodes']} per node")
+    if not (info["sim_now"] < info["sim_end"]
+            and info["events_processed"] < straight_events):
+        print("FAIL: the checkpoint's header does not describe a run cut "
+              "mid-way", file=sys.stderr)
+        return 1
 
     print("[3/4] resume from the latest checkpoint")
-    subprocess.run(
-        macro_cmd(args, "--resume", "--checkpoint", ckpt,
-                  "--summary-json", resumed),
-        check=True, timeout=args.timeout,
+    resumed_events = run_to_completion(
+        args, "--resume", "--checkpoint", ckpt, "--summary-json", resumed,
     )
+    if resumed_events != straight_events:
+        print(f"FAIL: resumed run ended at {resumed_events} events, the "
+              f"uninterrupted one at {straight_events}", file=sys.stderr)
+        return 1
 
     print("[4/4] compare summaries byte for byte")
     with open(straight, "rb") as handle:

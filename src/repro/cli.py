@@ -170,7 +170,10 @@ def _run_macro(args: argparse.Namespace) -> int:
         f"{summary.overhead_cost}  total {summary.total_cost}  "
         f"miss latency {summary.miss_latency:.3f} hops"
     )
-    print(f"(macro completed in {elapsed:.1f}s)")
+    print(
+        f"(macro completed in {elapsed:.1f}s, "
+        f"{net.sim.events_processed} events)"
+    )
     if args.summary_json is not None:
         with open(args.summary_json, "w") as handle:
             json.dump(summary.to_dict(), handle, sort_keys=True)

@@ -51,6 +51,33 @@ NO_NEIGHBORS: AbstractSet[NodeId] = frozenset()
 NO_DEADLINES: Sequence[float] = ()
 
 
+class _EmptyDict(dict):
+    """A dict that stays empty: every way of adding to it raises.
+
+    (``types.MappingProxyType`` would do, but it does not pickle, and
+    these travel in checkpoints and ``NodeStore`` snapshots.)
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(
+            "the shared empty dict is read-only; bind a private dict "
+            "where this attribute is first written"
+        )
+
+    __setitem__ = setdefault = update = __ior__ = _refuse
+
+
+#: The same rule one level up, for the dicts a *node* owns: channel
+#: queues, the authority directory, refresh buffers.  Only a
+#: rate-limited, authority or aggregating node ever fills them, so every
+#: node starts on this one empty and binds a private ``dict`` at the one
+#: place each attribute is first written — tested by truth there, for
+#: the reason above.
+NO_ITEMS: Dict[Any, Any] = _EmptyDict()
+
+
 class KeyState:
     """Everything one node tracks about one non-local key."""
 
@@ -114,10 +141,11 @@ class KeyState:
         self._interest_sorted: Optional[tuple] = None
         # Conservative lower bound on the earliest entry expiration: the
         # gc sweep skips the per-entry scan entirely while the clock has
-        # not reached it.  Maintained on entry application (replacing an
-        # entry can only leave the bound stale-low, never stale-high, so
-        # a false positive costs one scan, never a missed purge); the gc
-        # scan itself re-tightens it.
+        # not reached it.  Maintained on entry application (replacing
+        # one of several entries can only leave the bound stale-low,
+        # never stale-high, so a false positive costs one scan, never a
+        # missed purge; replacing the only entry sets it exactly); the
+        # gc scan itself re-tightens it.
         self.min_expires = float("inf")
         # Exact latest entry expiration (-inf when empty): has_fresh —
         # evaluated on every query and every response-readiness check —
@@ -181,6 +209,14 @@ class KeyState:
             return False
         self.entries[entry.replica_id] = entry
         expires = entry.timestamp + entry.lifetime
+        if current is not None and len(self.entries) == 1:
+            # The entry replaced was the only one, so both bounds are
+            # the new expiry exactly.  A refresh is a replacement: left
+            # to the rule below, one entry per key refreshed once per
+            # gc interval keeps min_expires a lifetime behind and the
+            # sweep's skip never fires.
+            self.min_expires = self.max_expires = expires
+            return True
         if (
             current is not None
             and expires < current.timestamp + current.lifetime

@@ -32,11 +32,11 @@ share the pump but at the highest priority, as §2.8 prescribes.
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.cache import NO_ITEMS
 from repro.core.messages import UpdateMessage, UpdateType
 from repro.sim.engine import Simulator
 from repro.sim.network import NodeId
@@ -169,8 +169,12 @@ class OutgoingUpdateChannels:
         self.unlimited = self.capacity.unlimited()
         self._rng = rng
         self._priorities = priorities or DEFAULT_PRIORITIES
-        self._queues: Dict[NodeId, List[_QueuedUpdate]] = {}
-        self._seq = itertools.count()
+        # Queue state starts on shared immutable empties (see
+        # core.cache.NO_ITEMS): with no rate limit push() sends straight
+        # through, so most nodes never own a queue.  The first *queued*
+        # update binds the three private containers, together.
+        self._queues: Dict[NodeId, List[_QueuedUpdate]] = NO_ITEMS
+        self._seq = 0
         self._pump_scheduled = False
         self._pump_event = None
         # Incremental longest-queue tracking: total queued count (O(1)
@@ -179,8 +183,8 @@ class OutgoingUpdateChannels:
         # entries refreshed on every length change.  Stale entries are
         # skipped at selection time, so the pump never rescans all queues.
         self._queued_total = 0
-        self._tie_keys: Dict[NodeId, str] = {}
-        self._longest: List[tuple] = []
+        self._tie_keys: Dict[NodeId, str] = NO_ITEMS
+        self._longest: Sequence[tuple] = ()
         # Statistics (read by metrics and tests).
         self.forwarded = 0
         self.suppressed = 0
@@ -238,15 +242,23 @@ class OutgoingUpdateChannels:
             self._send(neighbor, update)
             self.forwarded += 1
             return True
+        queues = self._queues
+        if not queues:
+            # Queues are never removed, so a private dict stays true.
+            queues = self._queues = {}
+            self._tie_keys = {}
+            self._longest = []
+        seq = self._seq
+        self._seq = seq + 1
         queued = _QueuedUpdate(
             self._priorities[update.update_type],
             update.carried_expiry() or float("inf"),
-            next(self._seq),
+            seq,
             update,
         )
-        queue = self._queues.get(neighbor)
+        queue = queues.get(neighbor)
         if queue is None:
-            queue = self._queues[neighbor] = []
+            queue = queues[neighbor] = []
             self._tie_keys[neighbor] = str(neighbor)
         heapq.heappush(queue, queued)
         self._queued_total += 1
@@ -344,6 +356,8 @@ class OutgoingUpdateChannels:
 
     def _flush_all(self) -> None:
         """Send everything queued (capacity became unlimited)."""
+        if not self._queues:
+            return
         now = self._sim.now
         for neighbor, queue in self._queues.items():
             self._drop_expired(queue, now)

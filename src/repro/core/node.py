@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.cache import NO_NEIGHBORS, KeyState, NodeCache
+from repro.core.cache import NO_ITEMS, NO_NEIGHBORS, KeyState, NodeCache
 from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
 from repro.core.messages import (
     ClearBitMessage,
@@ -155,7 +155,9 @@ class CupNode:
         )
         self.refresh_aggregation_window = refresh_aggregation_window
         self.refresh_sample_fraction = refresh_sample_fraction
-        self._aggregation_buffers: dict = {}
+        # The shared empty until the first buffered refresh (see
+        # core.cache.NO_ITEMS); only an aggregating authority buffers.
+        self._aggregation_buffers: dict = NO_ITEMS
         self._sample_rng = rng
         # Unreliable-transport survival layer: None on the default
         # reliable path (zero hot-path cost beyond one None test).  With
@@ -407,7 +409,10 @@ class CupNode:
                 if current is None or current.sequence < entry.sequence:
                     cached[entry.replica_id] = entry
                     expires = entry.timestamp + entry.lifetime
-                    if (
+                    if current is not None and len(cached) == 1:
+                        # Sole entry replaced: both bounds are exact.
+                        state.min_expires = state.max_expires = expires
+                    elif (
                         current is not None
                         and expires < current.timestamp + current.lifetime
                     ):
@@ -807,11 +812,14 @@ class CupNode:
         key to arrive.  It then batches all updates that arrive within
         that time and propagates them together as one update." (§3.6)
         """
-        buffer = self._aggregation_buffers.get(update.key)
+        buffers = self._aggregation_buffers
+        buffer = buffers.get(update.key)
         if buffer is not None:
             buffer.append(update)
             return
-        self._aggregation_buffers[update.key] = [update]
+        if not buffers:
+            buffers = self._aggregation_buffers = {}
+        buffers[update.key] = [update]
         self._sim.schedule(
             self.refresh_aggregation_window, self._flush_refresh_buffer,
             update.key,

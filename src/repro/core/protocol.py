@@ -249,6 +249,11 @@ class CupNetwork:
         # drawn in blocks, and because all consumers share this wrapper
         # the served sequence is bit-identical to per-call scalar draws.
         self._capacity_rng = BufferedUniforms(self.streams.get("capacity"))
+        # One capacity object for every node, joiners included: a fault
+        # replaces a node's config (set_capacity), nothing writes to one.
+        self._initial_capacity = CapacityConfig(
+            fraction=config.capacity_fraction, rate=config.capacity_rate
+        )
 
         # Keep-alive machinery (§2.1): off until enable_keepalive().
         self._keepalive_settings = None
@@ -315,9 +320,7 @@ class CupNetwork:
             persistent_interest=(config.mode == "cup"),
             coalesce=(config.mode != "standard"),
             replica_independent_cutoff=config.replica_independent_cutoff,
-            capacity=CapacityConfig(
-                fraction=config.capacity_fraction, rate=config.capacity_rate
-            ),
+            capacity=self._initial_capacity,
             rng=self._capacity_rng,
             pfu_timeout=config.pfu_timeout,
             track_justification=config.track_justification,

@@ -3,9 +3,11 @@
 A sweep's cells usually differ in protocol knobs (query rate, policy,
 capacity) while sharing one overlay topology, yet every
 :class:`~repro.core.protocol.CupNetwork` construction used to rebuild
-that topology from scratch — at n = 65536 the overlay build alone costs
-longer than many cells' steady state, and the lazily filled routing
-memos (next-hop, authority) are thrown away with it.
+that topology from scratch — for Chord, Pastry and joined CANs the build
+alone costs longer than many cells' steady state, and the lazily filled
+routing memos (next-hop, authority) are thrown away with it.  (A perfect
+CAN grid builds nothing until churn needs its zones, so a leased grid
+costs — and saves — exactly its memos.)
 
 Routing is a pure function of membership: two runs over the same built
 overlay object produce byte-identical results (the fast-path property
@@ -19,10 +21,13 @@ instead of once per cell.
 Safety: a leased snapshot must never change membership.  ``CupNetwork``
 guards its churn entry points when built from a snapshot, and the
 executor only leases for cells whose scenario declares no churn/crash
-hazard.  The cache key covers exactly the config fields that shape the
-overlay; the root seed participates only when the topology actually
-consumes randomness (incremental CAN construction), so e.g. a Chord
-sweep over seeds still shares one snapshot.
+hazard.  Any reader may still be the one that materialises a leased
+grid's zones (``CanOverlay.state``, a reference scan): that is
+idempotent and changes no answer.  The cache key covers exactly the
+config fields that shape the overlay; the root seed participates only
+when the topology actually consumes randomness (incremental CAN
+construction), so e.g. a Chord sweep over seeds still shares one
+snapshot.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from repro.overlay.base import Overlay
 
 #: Built overlays retained per process.  Snapshots are read-mostly and
 #: shared, so the bound is about memory, not correctness; at the default
-#: bound even n = 65536 topologies stay in the tens of megabytes.
+#: bound even n = 65536 topologies stay in the tens of megabytes (a
+#: perfect grid: its route memos and nothing else).
 MAX_SNAPSHOTS = 4
 
 _snapshots: "OrderedDict[tuple, Overlay]" = OrderedDict()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional
 
 NodeId = Any
 
@@ -121,18 +121,18 @@ class Overlay(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def node_ids(self) -> Iterable[NodeId]:
-        """All current member node identifiers."""
+    def node_ids(self) -> Collection[NodeId]:
+        """All current member node identifiers (sized, with O(1) ``in``)."""
 
     @abstractmethod
     def neighbors(self, node_id: NodeId) -> Iterable[NodeId]:
         """Direct overlay neighbors of ``node_id``."""
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in set(self.node_ids())
+        return node_id in self.node_ids()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.node_ids())
+        return len(self.node_ids())
 
     def _membership_changed(self) -> None:
         """Invalidate every routing memo; call after each join/leave."""

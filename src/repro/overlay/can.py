@@ -9,8 +9,9 @@ to the key's point.
 
 Two construction modes are provided:
 
-* :meth:`CanOverlay.perfect_grid` builds the balanced 2^k-node grid the
-  paper's experiments use (n = 2^k nodes, k = 3..12), with O(n) setup.
+* :meth:`CanOverlay.perfect_grid` describes the balanced 2^k-node grid
+  the paper's experiments use (n = 2^k nodes, k = 3..12) by its two
+  dimensions; zones are built the first time something reads them.
 * :meth:`CanOverlay.join` / :meth:`CanOverlay.leave` implement incremental
   membership: joins split the zone containing a random point (the CAN
   bootstrap procedure), leaves hand zones to a neighbor — merging into a
@@ -24,7 +25,8 @@ so floating-point comparisons of zone edges are exact.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import time
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.overlay.base import InternTable, NodeId, Overlay, RoutingError
 from repro.overlay.hashing import hash_to_unit_point
@@ -225,6 +227,14 @@ class CanOverlay(Overlay):
     cell arithmetic instead of a zone scan until the first join/leave
     perturbs the grid; and ``next_hop`` decisions are memoized per
     (node, key) by the base class, invalidated on every epoch bump.
+
+    A perfect grid is *only* arithmetic until something asks for an
+    ownership record: membership is ``range(cols * rows)``, adjacency
+    the four torus steps, and no ``Zone`` / ``CanNodeState`` / neighbor
+    set exists (about 800 B a node that no churn-free run ever reads).
+    The first read of :attr:`_nodes` — a join, a leave, :meth:`state`,
+    a zone scan — builds them all, once, and from then on the overlay is
+    the object an eager build would have produced.
     """
 
     def __init__(self, dims: int = 2):
@@ -232,7 +242,9 @@ class CanOverlay(Overlay):
             raise ValueError(f"dims must be >= 1, got {dims}")
         super().__init__()
         self.dims = dims
-        self._nodes: Dict[NodeId, CanNodeState] = {}
+        # Ownership records; read through ``_nodes`` everywhere but in
+        # the accessors that can answer for a still-arithmetic grid.
+        self._records: Dict[NodeId, CanNodeState] = {}
         # A partial, not a lambda, so the overlay stays picklable for
         # checkpoints; ``dims`` is fixed at construction.
         self._key_point = InternTable(
@@ -264,6 +276,31 @@ class CanOverlay(Overlay):
         cols = 1 << ((k + 1) // 2)
         rows = 1 << (k // 2)
         overlay = cls(dims=dims)
+        overlay.epoch += 1
+        overlay._grid = (cols, rows)
+        return overlay
+
+    @property
+    def _nodes(self) -> Dict[NodeId, CanNodeState]:
+        """The ownership records, built on first read for a perfect grid.
+
+        Need is the only trigger, and building is idempotent: a grid
+        shared as a leased topology snapshot may be materialised by
+        whichever reader gets there first.
+        """
+        if self._unbuilt_grid() is not None:
+            self._materialise_grid()
+        return self._records
+
+    def _unbuilt_grid(self) -> Optional[Tuple[int, int]]:
+        """``(cols, rows)`` while the grid's records are still unbuilt."""
+        return None if self._records else self._grid
+
+    def _materialise_grid(self) -> None:
+        """Build every zone, record and neighbor set of the grid, row-major."""
+        started = time.perf_counter()
+        cols, rows = self._grid
+        records = self._records
         for r in range(rows):
             for c in range(cols):
                 node_id = r * cols + c
@@ -271,20 +308,26 @@ class CanOverlay(Overlay):
                     (c / cols, r / rows),
                     ((c + 1) / cols, (r + 1) / rows),
                 )
-                overlay._nodes[node_id] = CanNodeState(node_id, [zone])
-        for r in range(rows):
-            for c in range(cols):
-                node_id = r * cols + c
-                state = overlay._nodes[node_id]
-                for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-                    nr = (r + dr) % rows
-                    nc = (c + dc) % cols
-                    neighbor = nr * cols + nc
-                    if neighbor != node_id:
-                        state.neighbors.add(neighbor)
-        overlay.epoch += 1
-        overlay._grid = (cols, rows)
-        return overlay
+                state = records[node_id] = CanNodeState(node_id, [zone])
+                state.neighbors = self._grid_neighbors(node_id, cols, rows)
+        self._count_table_build(started)
+
+    @staticmethod
+    def _grid_neighbors(node_id: int, cols: int, rows: int) -> set:
+        """The torus neighbors of one grid cell, as a fresh set.
+
+        Insertion order is part of the contract: seeded link-jitter
+        draws and the keep-alive monitors iterate this set, so the
+        arithmetic answer and the materialised record must be built by
+        the same four steps in the same order.
+        """
+        r, c = divmod(node_id, cols)
+        neighbors: set = set()
+        for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            neighbor = ((r + dr) % rows) * cols + (c + dc) % cols
+            if neighbor != node_id:
+                neighbors.add(neighbor)
+        return neighbors
 
     def add_first_node(self, node_id: NodeId) -> None:
         """Bootstrap the overlay: one node owning the entire space."""
@@ -418,11 +461,19 @@ class CanOverlay(Overlay):
     # Overlay interface
     # ------------------------------------------------------------------
 
-    def node_ids(self) -> Iterable[NodeId]:
-        return self._nodes.keys()
+    def node_ids(self) -> Collection[NodeId]:
+        grid = self._unbuilt_grid()
+        if grid is not None:
+            return range(grid[0] * grid[1])
+        return self._records.keys()
 
     def neighbors(self, node_id: NodeId) -> Iterable[NodeId]:
-        return self._nodes[node_id].neighbors
+        grid = self._unbuilt_grid()
+        if grid is not None:
+            if node_id not in range(grid[0] * grid[1]):
+                raise KeyError(node_id)
+            return self._grid_neighbors(node_id, *grid)
+        return self._records[node_id].neighbors
 
     def state(self, node_id: NodeId) -> CanNodeState:
         """Ownership record (zones + neighbors) for ``node_id``."""
@@ -469,7 +520,8 @@ class CanOverlay(Overlay):
             and 0 <= node_id < grid[0] * grid[1]
         ):
             return self._grid_next_hop(node_id, key, grid)
-        state = self._nodes.get(node_id)
+        nodes = self._nodes
+        state = nodes.get(node_id)
         if state is None:
             raise RoutingError(f"node {node_id!r} is not a member")
         point = self.key_point(key)
@@ -479,7 +531,7 @@ class CanOverlay(Overlay):
         best: Optional[NodeId] = None
         best_rank: Tuple[float, str] = (float("inf"), "")
         for neighbor_id in state.neighbors:
-            neighbor = self._nodes.get(neighbor_id)
+            neighbor = nodes.get(neighbor_id)
             if neighbor is None:
                 continue
             d = neighbor.distance(point)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.overlay.base import InternTable, NodeId, Overlay, RoutingError
 from repro.overlay.hashing import hash_to_int
@@ -172,7 +172,7 @@ class ChordOverlay(Overlay):
     # Overlay interface
     # ------------------------------------------------------------------
 
-    def node_ids(self) -> Iterable[NodeId]:
+    def node_ids(self) -> Collection[NodeId]:
         return self._id_of.keys()
 
     def neighbors(self, node_id: NodeId) -> Iterable[NodeId]:

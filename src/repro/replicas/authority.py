@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.cache import NO_ITEMS
 from repro.core.entry import IndexEntry
 from repro.core.messages import ReplicaEvent, ReplicaMessage, UpdateMessage, UpdateType
 
@@ -33,8 +34,12 @@ class AuthorityIndex:
     __slots__ = ("_entries", "_sequences")
 
     def __init__(self) -> None:
-        self._entries: Dict[str, Dict[str, IndexEntry]] = {}
-        self._sequences: Dict[Tuple[str, str], int] = {}
+        # Shared immutable empties (see core.cache.NO_ITEMS) until this
+        # node first owns a key: most nodes of a wide network never do.
+        # Bound private by _own_directory, on the first replica event or
+        # absorbed slice.
+        self._entries: Dict[str, Dict[str, IndexEntry]] = NO_ITEMS
+        self._sequences: Dict[Tuple[str, str], int] = NO_ITEMS
 
     # ------------------------------------------------------------------
     # Introspection
@@ -65,6 +70,15 @@ class AuthorityIndex:
     # Replica events -> updates
     # ------------------------------------------------------------------
 
+    def _own_directory(self) -> Dict[str, Dict[str, IndexEntry]]:
+        """``_entries`` as a dict that may be written to."""
+        if not self._sequences:
+            self._sequences = {}
+        entries = self._entries
+        if not entries:
+            entries = self._entries = {}
+        return entries
+
     def _next_sequence(self, key: str, replica_id: str) -> int:
         seq = self._sequences.get((key, replica_id), 0) + 1
         self._sequences[(key, replica_id)] = seq
@@ -80,7 +94,7 @@ class AuthorityIndex:
         """
         if message.event == ReplicaEvent.DEATH:
             return self.remove(message.key, message.replica_id, now)
-        per_key = self._entries.setdefault(message.key, {})
+        per_key = self._own_directory().setdefault(message.key, {})
         existed = message.replica_id in per_key
         entry = IndexEntry(
             key=message.key,
@@ -167,7 +181,7 @@ class AuthorityIndex:
         """
         accepted = 0
         for key, per_key in slices.items():
-            mine = self._entries.setdefault(key, {})
+            mine = self._own_directory().setdefault(key, {})
             for replica_id, entry in per_key.items():
                 current = mine.get(replica_id)
                 if current is None or current.sequence < entry.sequence:

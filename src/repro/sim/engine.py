@@ -211,14 +211,22 @@ class Simulator:
 
         Events scheduled after ``deadline`` remain pending, so the
         simulation can be resumed with another ``run_until`` or ``run``.
-        Returns the number of events processed by this call.
+        The clock moves to ``deadline`` only when nothing at or before
+        it is left: a call cut short by ``max_events`` (or ``stop``)
+        leaves the clock at the last event fired, with the earlier
+        events still ahead of it.  Returns the number of events
+        processed by this call.
         """
         if deadline < self.now:
             raise SimulatorError(
                 f"deadline t={deadline} is before current time t={self.now}"
             )
         processed = self._run_loop(deadline=deadline, max_events=max_events)
-        if not self._stopped:
+        heap = self._heap
+        # A cancelled entry still at the head counts as left: the loop
+        # pops those as it meets them, so only a max_events cut can
+        # leave one, and the next call disposes of it.
+        if not self._stopped and (not heap or heap[0][0] > deadline):
             self.now = max(self.now, deadline)
         return processed
 

@@ -3,14 +3,21 @@
 import pickle
 import tracemalloc
 
+import pytest
 from helpers import MicroNet
 
-from repro.core.cache import KeyState, NodeCache
+from repro.core.cache import NO_ITEMS, KeyState, NodeCache
+from repro.core.channels import CapacityConfig
 from repro.core.entry import IndexEntry
+from repro.core.messages import UpdateMessage, UpdateType
 
 
 def entry(replica="k/r0", timestamp=0.0, lifetime=100.0, seq=0):
     return IndexEntry("k", replica, f"addr://{replica}", lifetime, timestamp, seq)
+
+
+def refresh():
+    return UpdateMessage("k", UpdateType.REFRESH, (entry(),), "k/r0", 0.0)
 
 
 class TestEntryManagement:
@@ -63,6 +70,44 @@ class TestEntryManagement:
         state.apply_entry(entry(replica="k/r1", lifetime=100.0))
         assert state.purge_expired(now=50.0) == 1
         assert list(state.entries) == ["k/r1"]
+
+
+    def test_refresh_of_the_sole_entry_sets_both_bounds_exactly(self):
+        # A refresh is a replacement; were min_expires left stale-low,
+        # the gc sweep's skip would never fire for a one-replica key.
+        state = KeyState("k")
+        state.apply_entry(entry(timestamp=0.0, lifetime=100.0, seq=1))
+        state.apply_entry(entry(timestamp=90.0, lifetime=100.0, seq=2))
+        assert state.min_expires == state.max_expires == 190.0
+        # Shrinking refresh of a sole entry: exact as well.
+        state.apply_entry(entry(timestamp=95.0, lifetime=10.0, seq=3))
+        assert state.min_expires == state.max_expires == 105.0
+
+    def test_refresh_of_one_of_two_entries_keeps_the_lower_bound(self):
+        state = KeyState("k")
+        state.apply_entry(entry("k/r0", timestamp=0.0, seq=1))
+        state.apply_entry(entry("k/r1", timestamp=50.0, seq=1))
+        state.apply_entry(entry("k/r0", timestamp=90.0, seq=2))
+        # Conservative (stale-low) until the sweep re-tightens it.
+        assert state.min_expires == 100.0
+        assert state.max_expires == 190.0
+
+    def test_inlined_update_path_keeps_the_same_bounds(self):
+        # CupNode._handle_update applies single-entry updates inline.
+        net = MicroNet()
+        net.seed_authority("k", lifetime=100.0)
+        net.node(1).post_local_query("k")
+        net.settle(50.0)
+        net.refresh_authority("k", lifetime=100.0)
+        net.settle(1.0)
+        cached = net.node(1).cache.get("k")
+        (only,) = cached.entries.values()
+        assert only.sequence == 2
+        assert (
+            cached.min_expires
+            == cached.max_expires
+            == only.timestamp + only.lifetime
+        )
 
 
 class TestInterestBits:
@@ -189,6 +234,146 @@ class TestSharedEmpties:
         net.settle()
         assert net.node(1).cache.get("k").interest == {"n2"}
         assert net.node(2).cache.get("k").has_fresh(net.sim.now)
+
+
+class TestNodeSharedEmpties:
+    """A node costs what it holds: no queue, directory or refresh buffer
+    until the first queued push, replica event or buffered refresh."""
+
+    CHANNELS = ("_queues", "_tie_keys", "_longest")
+    DIRECTORY = ("_entries", "_sequences")
+
+    def _containers(self, node):
+        return {
+            **{n: getattr(node.channels, n) for n in self.CHANNELS},
+            **{n: getattr(node.authority_index, n) for n in self.DIRECTORY},
+            "_aggregation_buffers": node._aggregation_buffers,
+        }
+
+    def _private(self, node):
+        """Names of the containers ``node`` no longer shares."""
+        fresh = self._containers(MicroNet(length=1).node(0))
+        return {
+            name for name, held in self._containers(node).items()
+            if held is not fresh[name]
+        }
+
+    def test_fresh_nodes_share_their_empties(self):
+        net = MicroNet()
+        assert self._private(net.node(0)) == set()
+        assert self._private(net.node(1)) == set()
+        assert net.node(0).channels._seq == 0
+
+    def test_the_shared_empty_dict_refuses_writes(self):
+        for write in (
+            lambda d: d.__setitem__("k", 1),
+            lambda d: d.setdefault("k", {}),
+            lambda d: d.update(k=1),
+        ):
+            with pytest.raises(TypeError):
+                write(NO_ITEMS)
+        assert not NO_ITEMS and NO_ITEMS.pop("k", None) is None
+        assert not pickle.loads(pickle.dumps(NO_ITEMS))
+
+    def test_send_through_push_allocates_nothing(self):
+        net = MicroNet()
+        assert net.node(0).channels.push("n1", refresh())
+        assert self._private(net.node(0)) == set()
+
+    def test_first_queued_push_privatises_the_channel_containers(self):
+        net = MicroNet(capacity=CapacityConfig(rate=1.0))
+        channels = net.node(0).channels
+        assert channels.push("n1", refresh())
+        assert self._private(net.node(0)) == set(self.CHANNELS)
+        assert self._private(net.node(1)) == set()
+        assert channels.pending_counts() == (1, 1)
+        assert channels.queue_length("n1") == 1
+        assert net.node(1).channels.queue_length("n1") == 0
+        queues = channels._queues
+        channels.push("n2", refresh())
+        assert channels._queues is queues  # bound once, not per push
+
+    def test_first_replica_event_privatises_the_directory(self):
+        net = MicroNet()
+        net.seed_authority("k")
+        assert self._private(net.authority) == set(self.DIRECTORY)
+        assert self._private(net.node(1)) == set()
+        assert net.authority.authority_index.owns("k")
+        assert not net.node(1).authority_index.owns("k")
+
+    def test_absorb_privatises_the_directory(self):
+        net = MicroNet()
+        net.seed_authority("k")
+        slices = net.authority.authority_index.extract_keys(["k"])
+        assert net.node(1).authority_index.absorb(slices) == 1
+        assert self._private(net.node(1)) == set(self.DIRECTORY)
+        assert self._private(net.node(2)) == set()
+
+    def test_first_buffered_refresh_privatises_the_buffers(self):
+        net = MicroNet()
+        net.authority.refresh_aggregation_window = 2.0
+        net.seed_authority("k")
+        net.refresh_authority("k")
+        assert self._private(net.authority) == (
+            set(self.DIRECTORY) | {"_aggregation_buffers"}
+        )
+        net.settle(3.0)  # the flush pops the buffer again
+        assert not net.authority._aggregation_buffers
+        net.refresh_authority("k")
+        assert list(net.authority._aggregation_buffers) == ["k"]
+        assert not net.node(1)._aggregation_buffers
+
+    def test_every_read_works_on_the_empties(self):
+        node = MicroNet().node(1)
+        channels, index = node.channels, node.authority_index
+        assert channels.pending_counts() == (0, 0)
+        assert channels.queue_length("n0") == 0
+        channels._flush_all()
+        channels._pump_once()
+        assert list(index.keys()) == [] and not index.owns("k")
+        assert index.entries("k") == [] and index.fresh_entries("k", 0.0) == []
+        assert index.entry_count() == 0
+        assert index.sweep_expired(1e9) == []
+        assert index.remove("k", "k/r0", 0.0) is None
+        assert index.extract_keys(["k"]) == {}
+        assert index.absorb({}) == 0
+        node._flush_refresh_buffer("k")
+        assert self._private(node) == set()
+
+    def test_capacity_cycle_drains_as_before(self):
+        # unlimited -> rate -> unlimited: queued updates flush, and the
+        # channel keeps working in both directions afterwards.
+        net = MicroNet()
+        sent = []
+        channels = net.node(0).channels
+        channels._send = lambda neighbor, u: sent.append(neighbor)
+        channels.push("n1", refresh())
+        channels.set_capacity(CapacityConfig(rate=0.001))
+        for neighbor in ("n1", "n1", "n2"):
+            channels.push(neighbor, refresh())
+        assert sent == ["n1"] and channels.pending_counts() == (3, 3)
+        channels.set_capacity(CapacityConfig())
+        assert sorted(sent) == ["n1", "n1", "n1", "n2"]
+        assert channels.pending_counts() == (0, 0)
+        assert channels.forwarded == 4
+        channels.set_capacity(CapacityConfig(rate=0.001))
+        channels.push("n2", refresh())
+        assert channels.pending_counts() == (1, 1)
+        channels.set_capacity(CapacityConfig())
+        assert len(sent) == 5 and net.sim.pending == 0
+
+    def test_pickled_node_state_accepts_its_first_writes(self):
+        # A restored node holds empties of its own; truth, not identity,
+        # decides where a private container is bound.
+        net = pickle.loads(pickle.dumps(MicroNet(
+            capacity=CapacityConfig(rate=1.0))))
+        assert not net.node(0).channels._queues
+        net.seed_authority("k")
+        net.node(2).post_local_query("k")
+        net.settle()
+        assert net.node(2).cache.get("k").has_fresh(net.sim.now)
+        assert net.authority.channels._queues.keys() == {"n1"}
+        assert not net.node(3).authority_index._entries
 
 
 class TestLifecycle:

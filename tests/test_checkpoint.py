@@ -191,6 +191,20 @@ def test_auto_checkpoint_writes_and_never_perturbs(tmp_path):
     assert canonical(resumed.run()) == canonical(expected)
 
 
+def test_event_cadence_checkpoint_header_reads_the_clock_mid_run(tmp_path):
+    plain = CupNetwork(tiny_config())
+    plain.run()
+    total = plain.sim.events_processed
+    path = tmp_path / "once.ckpt"
+    net = CupNetwork(tiny_config())
+    net.enable_checkpoints(path, every_events=total // 2 + 1)  # one hook
+    net.run()
+    info = checkpoint_info(path)
+    assert info["events_processed"] == total // 2 + 1
+    assert 0.0 < info["sim_now"] < info["sim_end"]
+    assert load_checkpoint(path).sim.now == info["sim_now"]
+
+
 def test_auto_checkpoint_by_simulated_seconds(tmp_path):
     expected = CupNetwork(tiny_config()).run()
     path = tmp_path / "auto.ckpt"
@@ -212,6 +226,48 @@ def test_checkpoint_config_knobs(tmp_path):
         with pytest.raises(SimulatorError):
             net.run()
         assert not (tmp_path / "bad.ckpt").exists()
+
+
+# ----------------------------------------------------------------------
+# State that does not exist yet: unbuilt grid zones, node-level empties
+# ----------------------------------------------------------------------
+
+
+def test_unbuilt_grid_restores_unbuilt_and_churns_like_straight():
+    def churn_and_finish(network):
+        network.leave_node(5)
+        network.join_node("latecomer")
+        network.run(until=130.0)
+        network.leave_node(9, graceful=False)
+        return network.run()
+
+    straight = CupNetwork(tiny_config())
+    straight.run(until=100.0)
+    restored = restore_network(snapshot_network(straight))
+    verify_restored(restored)
+    # No healthy run reads a zone, so none was built or pickled.
+    assert straight.overlay.table_builds == 0
+    assert restored.overlay.table_builds == 0
+    expected = churn_and_finish(straight)
+    assert canonical(churn_and_finish(restored)) == canonical(expected)
+    assert restored.overlay.table_builds == 1  # built once, by the leave
+    assert set(restored.overlay.node_ids()) == set(restored.nodes)
+
+
+def test_first_replica_event_after_the_restore():
+    """Every node is restored on empties of its own: the births still in
+    flight must bind private directories, not write to a shared one."""
+    net = CupNetwork(tiny_config())
+    restored = restore_network(snapshot_network(net))
+    assert not any(
+        list(node.authority_index.keys()) for node in restored.nodes.values()
+    )
+    assert canonical(restored.run()) == canonical(net.run())
+    owners = {
+        node_id for node_id, node in restored.nodes.items()
+        if list(node.authority_index.keys())
+    }
+    assert owners == {restored.overlay.authority(k) for k in restored.keys}
 
 
 # ----------------------------------------------------------------------

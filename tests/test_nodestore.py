@@ -107,6 +107,22 @@ def test_store_roundtrip(tmp_path):
     assert max(e.sequence for e in restored.entries.values()) == 4
 
 
+def test_restored_node_that_never_owned_a_key_accepts_its_first(tmp_path):
+    from repro.core.messages import ReplicaEvent, ReplicaMessage, UpdateType
+
+    store = NodeStore(tmp_path)
+    store.save(make_daemon())  # its AuthorityIndex is on the shared empties
+    state = store.load()
+    assert sanitize_restored(state, NOW) == 1
+    authority = state.authority
+    assert list(authority.keys()) == [] and authority.entry_count() == 0
+    birth = ReplicaMessage(ReplicaEvent.BIRTH, "k9", "k9/r0", "addr", 50.0)
+    assert authority.apply_replica_message(birth, NOW).update_type == (
+        UpdateType.APPEND
+    )
+    assert authority.owns("k9") and not AuthorityIndex().owns("k9")
+
+
 def test_store_info_reads_header_without_payload(tmp_path):
     store = NodeStore(tmp_path)
     assert store.info() is None

@@ -15,11 +15,13 @@ Three layers of guarantees:
   hashlib once; the hash memo and routing memos are bounded.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.base import InternTable
+from repro.overlay.base import InternTable, RoutingError
 from repro.overlay.can import CanOverlay
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.hashing import _hash_to_int, hash_memo_stats, hash_to_int
@@ -107,6 +109,106 @@ class TestMemoizedMatchesReference:
                     pass  # position collision: skip, keep the property
             else:
                 overlay.leave(members[seed % len(members)])
+
+
+# ----------------------------------------------------------------------
+# Lazy grid == eager grid: zones built on first need change no answer
+# ----------------------------------------------------------------------
+
+
+def _zones(overlay):
+    return {
+        node_id: list(overlay.state(node_id).zones)
+        for node_id in overlay.node_ids()
+    }
+
+
+class TestLazyGridMatchesEager:
+    """A perfect grid is arithmetic until something needs its zones.
+
+    Twin overlays, one materialised at birth (``state`` is a reader),
+    must agree on everything an ``Overlay`` answers — before the lazy
+    twin has built a single record, and after any churn sequence, which
+    builds them exactly once.
+    """
+
+    @staticmethod
+    def _assert_same_answers(lazy, eager, keys):
+        assert list(lazy.node_ids()) == list(eager.node_ids())
+        assert len(lazy) == len(eager)
+        for node_id in eager.node_ids():
+            assert node_id in lazy
+            # Iteration order included: seeded link-jitter draws and the
+            # keep-alive monitors walk this set.
+            assert list(lazy.neighbors(node_id)) == list(
+                eager.neighbors(node_id)
+            )
+        for key in keys:
+            assert lazy.authority(key) == eager.authority(key)
+            for node_id in eager.node_ids():
+                assert lazy.next_hop(node_id, key) == eager.next_hop(
+                    node_id, key
+                ), (node_id, key)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(min_value=0, max_value=10),
+        churn_ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 10_000)), max_size=5
+        ),
+        key_seeds=st.lists(st.integers(0, 1000), min_size=1, max_size=4),
+    )
+    def test_twins_agree_before_and_after_churn(self, k, churn_ops, key_seeds):
+        keys = [f"key-{s}" for s in key_seeds]
+        lazy = CanOverlay.perfect_grid(2 ** k)
+        eager = CanOverlay.perfect_grid(2 ** k)
+        eager.state(0)
+        assert (lazy.table_builds, eager.table_builds) == (0, 1)
+
+        self._assert_same_answers(lazy, eager, keys)
+        assert "joiner-0" not in lazy and 2 ** k not in lazy
+        with pytest.raises(KeyError):
+            lazy.neighbors(2 ** k)
+        assert lazy.table_builds == 0  # none of the above needed a zone
+
+        for overlay in (lazy, eager):
+            TestMemoizedMatchesReference._churn(
+                overlay, churn_ops, min_members=2
+            )
+        self._assert_same_answers(lazy, eager, keys)
+        assert _zones(lazy) == _zones(eager)
+        for overlay in (lazy, eager):
+            _assert_routing_matches_reference(overlay, keys)
+        assert (lazy.table_builds, eager.table_builds) == (1, 1)
+
+    def test_each_reader_of_ownership_records_builds_them_once(self):
+        readers = {
+            "state": lambda o: o.state(3),
+            "join": lambda o: o.join("newcomer"),
+            "leave": lambda o: o.leave(5),
+            "authority_reference": lambda o: o.authority_reference("k"),
+            "next_hop of a stranger": lambda o: pytest.raises(
+                RoutingError, o.next_hop, "stranger", "k"
+            ),
+        }
+        for name, read in readers.items():
+            overlay = CanOverlay.perfect_grid(16)
+            assert overlay.table_builds == 0, name
+            read(overlay)
+            overlay.state(3)
+            assert overlay.table_builds == 1, name
+
+    def test_unbuilt_grid_pickles_as_its_dimensions(self):
+        overlay = CanOverlay.perfect_grid(1024)
+        overlay.next_hop(0, "k")
+        restored = pickle.loads(pickle.dumps(overlay))
+        assert restored.table_builds == 0
+        assert len(pickle.dumps(overlay)) < 1024  # 100 kB once built
+        self._assert_same_answers(restored, overlay, ["k", "other"])
+        restored.join("newcomer")
+        overlay.join("newcomer")
+        self._assert_same_answers(restored, overlay, ["k", "other"])
+        assert _zones(restored) == _zones(overlay)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for CupConfig validation and CupNetwork assembly/churn."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.channels import CapacityConfig
 from repro.core.policies import SecondChancePolicy
-from repro.core.protocol import CupConfig, CupNetwork
+from repro.core.protocol import CupConfig, CupNetwork, build_overlay
+from repro.experiments.config import SMALL
 
 
 def quick_config(**overrides):
@@ -126,7 +130,87 @@ class TestNetworkBuild:
         assert net.metrics.queries_posted == 1
 
 
+def clean_cell(num_nodes=1024):
+    """The macro cell cupbench times (seed 42: 74,716 queries)."""
+    return SMALL.config(
+        seed=42, num_nodes=num_nodes, query_rate=SMALL.rate(100)
+    )
+
+
+class TestGridStaysArithmetic:
+    """No healthy run reads a zone, and the ones that read neighbor sets
+    get them in the order a built grid would hand them out."""
+
+    def test_clean_cell_never_builds_the_grid(self):
+        net = CupNetwork(clean_cell())
+        summary = net.run()
+        assert (summary.queries_posted, summary.total_cost) == (74716, 15358)
+        assert net.overlay.table_builds == 0 and not net.overlay._records
+        assert len(net.overlay) == 1024 and 1023 in net.overlay
+
+    @staticmethod
+    def _twins(config):
+        built = build_overlay(config)
+        built.state(0)
+        assert built.table_builds == 1
+        return CupNetwork(config), CupNetwork(config, topology=built)
+
+    def test_jittered_links_match_a_prebuilt_grid(self):
+        lazy, eager = self._twins(
+            quick_config(num_nodes=64, link_delay_jitter=0.02)
+        )
+        for a in lazy.nodes:
+            for b in eager.overlay.neighbors(a):
+                assert lazy.transport.link_delay(a, b) == (
+                    eager.transport.link_delay(a, b)
+                )
+        assert lazy.run() == eager.run()
+        assert lazy.sim.events_processed == eager.sim.events_processed
+        assert lazy.overlay.table_builds == 0
+
+    def test_keepalive_matches_a_prebuilt_grid(self):
+        lazy, eager = self._twins(quick_config(num_nodes=64))
+        for net in (lazy, eager):
+            net.enable_keepalive(period=10.0)
+        assert lazy.run() == eager.run()
+        assert lazy.sim.events_processed == eager.sim.events_processed
+        assert lazy.transport.sent == eager.transport.sent
+        assert lazy.overlay.table_builds == 0
+
+
+class TestBytesPerNode:
+    """A node costs what it holds (tracemalloc, n = 1,024)."""
+
+    def test_built_and_after_the_clean_cell(self):
+        CupNetwork(clean_cell(64)).run()  # imports, lru caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net = CupNetwork(clean_cell())
+            gc.collect()
+            built = tracemalloc.get_traced_memory()[0] - before
+            net.run()
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 2,004 and 3,056 with eager zones, seven private containers and
+        # a CapacityConfig per node; 800 and 1,855 without.
+        assert built / 1024 <= 1000
+        assert after / 1024 <= 2100
+
+
 class TestCapacityHooks:
+    def test_shared_initial_capacity_is_replaced_not_written(self):
+        net = CupNetwork(quick_config(capacity_rate=5.0))
+        a, b = (net.nodes[i].channels for i in (0, 1))
+        assert a.capacity is b.capacity
+        net.set_node_capacity(0, CapacityConfig(fraction=0.5))
+        assert (a.capacity.fraction, a.capacity.rate) == (0.5, None)
+        assert (b.capacity.fraction, b.capacity.rate) == (1.0, 5.0)
+        assert net.join_node("late").channels.capacity is b.capacity
+
     def test_set_node_capacity(self):
         net = CupNetwork(quick_config())
         node_id = next(iter(net.nodes))

@@ -232,6 +232,38 @@ class TestRunModes:
         assert sim.run(max_events=4) == 4
         assert sim.pending == 6
 
+    def test_run_until_cut_by_max_events_leaves_the_clock_at_the_event(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: None)
+        assert sim.run_until(10.0, max_events=1) == 1
+        assert (sim.now, sim.pending) == (1.0, 2)
+        # Exactly enough events: nothing is left, so the clock moves on.
+        assert sim.run_until(10.0, max_events=2) == 2
+        assert (sim.now, sim.pending) == (10.0, 0)
+
+    def test_run_until_advances_past_later_events_only(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(20.0, lambda: None)
+        assert sim.run_until(10.0, max_events=1) == 1
+        assert (sim.now, sim.pending) == (10.0, 1)
+
+    def test_checkpoint_cadence_counts_simulated_seconds_from_the_clock(self):
+        # 100 events 0.1 s apart, chunks of 10 events or 2 s: the event
+        # budget ends every chunk after one simulated second, and the
+        # next 2 s horizon must be measured from there.
+        sim = Simulator()
+        for i in range(1, 101):
+            sim.schedule_at(i / 10, lambda: None)
+        hook_times = []
+        processed = sim.run_with_checkpoints(
+            10.0, lambda: hook_times.append(sim.now),
+            every_events=10, every_seconds=2.0,
+        )
+        assert processed == 100
+        assert hook_times == [float(t) for t in range(1, 11)]
+
     def test_step_fires_single_event(self):
         sim = Simulator()
         fired = []
