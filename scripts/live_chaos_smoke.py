@@ -11,14 +11,17 @@ real processes and real sockets:
    local copies, and record the victim's pre-crash view of one key it
    is *not* the authority for (extra keys are seeded until one also
    avoids the stateless node, whose cold crash forgets its own
-   replica directory);
+   replica directory); then refresh that key and wait for the victim's
+   next save, which appends it to the log beside the base;
 3. open invariant hazard windows on the survivors, then ``kill -9``
    the durable victim and wait for suspicion to evict it from every
    surviving member view;
 4. restart the victim from its state dir alone (no seed peers): it
    must rejoin warm — full member view reconverges everywhere, the
    restarted daemon reports ``rejoined`` with restored keys, and a
-   repeat get of the pre-crash key is a *local hit* (no network pull);
+   repeat get of the pre-crash key is a *local hit* (no network pull)
+   at the *refreshed* sequence or later — state that was only ever in a
+   log record (the drill prints how many it replayed);
 5. repeat the kill/restart on the stateless node (cold path): it
    rejoins via a seed and serves gets again, proving the drill works
    without ``--state-dir`` too;
@@ -272,6 +275,34 @@ def main() -> int:
         # Let the write-behind cadence (0.5s) capture the seeded state.
         time.sleep(1.5)
 
+        # Refresh the check key and wait for the save that holds it: by
+        # now the store has its base, so what the victim's disk gains is
+        # one appended log record.  The warm restart must come back at
+        # this sequence, not the seeded one.
+        saves = rpc(victim, lambda c: c.info())["persistence"]["saves"]
+        rpc(durable[0], lambda c: c.put(
+            check_key, f"replica-{check_key}", address="origin",
+            lifetime=LIFETIME, event="refresh"))
+        refreshed_seq, saved = pre_seq, None
+        while time.monotonic() < deadline:
+            reply = rpc(victim, lambda c: c.get(check_key, timeout=5.0))
+            refreshed_seq = max(
+                (e["sequence"] for e in reply.get("entries", [])),
+                default=None)
+            saved = rpc(victim, lambda c: c.info())["persistence"]
+            if (refreshed_seq or 0) > (pre_seq or 0) \
+                    and saved["saves"] > saves:
+                break
+            time.sleep(0.05)
+        else:
+            raise TimeoutError(
+                f"refresh of {check_key} never reached {victim}'s disk: "
+                f"sequence {refreshed_seq}, store {saved}")
+        print(f"      refreshed to sequence {refreshed_seq}; victim's last "
+              f"save was a {saved['last_save_kind']} write "
+              f"({saved['log_records']} log records, {saved['log_bytes']} B "
+              f"beside a {saved['base_bytes']} B base)")
+
         print("[3/8] opening hazard windows on survivors, then kill -9 "
               f"{victim}")
         survivors = [a for a in addresses if a != victim]
@@ -300,10 +331,17 @@ def main() -> int:
                 f"restarted {victim} restored {restored} keys"
             )
         wait_members(addresses, addresses, deadline)
-        print(f"      member view reconverged; {restored} keys restored")
+        store = info.get("persistence") or {}
+        replayed = store.get("replayed", 0)
+        print(f"      member view reconverged; {restored} keys restored "
+              f"from the base"
+              + (f" + {replayed} replayed log records" if replayed
+                 else " alone (the log had been folded in)")
+              + f"; dropped at load: {store.get('torn_dropped')} torn, "
+                f"{store.get('stale_dropped')} stale")
 
         print("[5/8] repeat get at the restarted node must be a local "
-              "hit at the pre-crash sequence")
+              "hit at the refreshed sequence")
         after = rpc(victim, lambda c: c.get(check_key, timeout=5.0))
         post_seq = max((e["sequence"] for e in after.get("entries", [])),
                        default=None)
@@ -312,10 +350,10 @@ def main() -> int:
                 f"get {check_key}@{victim} after warm restart was not "
                 f"a local hit: {after}"
             )
-        elif pre_seq is not None and (post_seq is None
-                                      or post_seq < pre_seq):
+        elif post_seq is None or post_seq < refreshed_seq:
             failures.append(
-                f"restored sequence regressed: {post_seq} < {pre_seq}"
+                f"restored sequence regressed: {post_seq} < "
+                f"{refreshed_seq} (seeded at {pre_seq})"
             )
         else:
             print(f"      local hit at sequence {post_seq}")

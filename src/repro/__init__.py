@@ -21,121 +21,33 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 table/figure reproductions.
 """
 
-from repro.core.cache import KeyState, NodeCache
-from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
-from repro.core.costmodel import (
-    break_even_justified_fraction,
-    expected_update_value,
-    justification_probability,
-    saved_miss_overhead_ratio,
-    standard_caching_miss_cost,
-)
-from repro.core.entry import IndexEntry
-from repro.core.messages import (
-    ClearBitMessage,
-    QueryMessage,
-    ReplicaEvent,
-    ReplicaMessage,
-    UpdateMessage,
-    UpdateType,
-)
-from repro.core.node import CupNode
-from repro.core.policies import (
-    AllOutPolicy,
-    CutoffPolicy,
-    LinearPolicy,
-    LogarithmicPolicy,
-    LogBasedPolicy,
-    SecondChancePolicy,
-    make_policy,
-)
-from repro.core.protocol import CupConfig, CupNetwork
-from repro.core.trees import QueryTree
-from repro.invariants.checker import (
-    InvariantChecker,
-    InvariantViolationError,
-)
-from repro.metrics.collector import MetricsCollector, MetricsSummary
-from repro.overlay.base import Overlay, RoutingError
-from repro.overlay.can import CanOverlay, Zone
-from repro.overlay.chord import ChordOverlay
-from repro.overlay.pastry import PastryOverlay
-from repro.replicas.authority import AuthorityIndex
-from repro.replicas.replica import Replica, ReplicaSet
-from repro.sim.engine import Simulator
-from repro.sim.network import Transport
-from repro.sim.random import RandomStreams
-from repro.workload.faults import (
-    CapacityFaultSchedule,
-    once_down_always_down,
-    up_and_down,
-)
-from repro.scenarios.dsl import Scenario
-from repro.scenarios.runner import run_scenario
-from repro.workload.generator import QueryWorkload
-from repro.workload.keyspace import (
-    FlashCrowdKeys,
-    RotatingHotKeys,
-    UniformKeys,
-    ZipfKeys,
-)
-from repro.workload.tracefile import QueryTrace
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AllOutPolicy",
-    "AuthorityIndex",
-    "CanOverlay",
-    "CapacityConfig",
-    "CapacityFaultSchedule",
-    "ChordOverlay",
-    "ClearBitMessage",
-    "CupConfig",
-    "CupNetwork",
-    "CupNode",
-    "CutoffPolicy",
-    "FlashCrowdKeys",
-    "IndexEntry",
-    "InvariantChecker",
-    "InvariantViolationError",
-    "KeyState",
-    "LinearPolicy",
-    "LogBasedPolicy",
-    "LogarithmicPolicy",
-    "MetricsCollector",
-    "MetricsSummary",
-    "NodeCache",
-    "OutgoingUpdateChannels",
-    "Overlay",
-    "PastryOverlay",
-    "QueryMessage",
-    "QueryTrace",
-    "QueryTree",
-    "QueryWorkload",
-    "RandomStreams",
-    "Replica",
-    "ReplicaEvent",
-    "ReplicaMessage",
-    "ReplicaSet",
-    "RotatingHotKeys",
-    "RoutingError",
-    "Scenario",
-    "SecondChancePolicy",
-    "Simulator",
-    "Transport",
-    "UniformKeys",
-    "UpdateMessage",
-    "UpdateType",
-    "Zone",
-    "ZipfKeys",
-    "break_even_justified_fraction",
-    "expected_update_value",
-    "justification_probability",
-    "make_policy",
-    "once_down_always_down",
-    "run_scenario",
-    "saved_miss_overhead_ratio",
-    "standard_caching_miss_cost",
-    "up_and_down",
-]
+# Resolved through the sub-package that exports the name (itself lazy);
+# a leaf path only where the sub-package does not re-export it.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "core": "AllOutPolicy CapacityConfig ClearBitMessage CupConfig "
+            "CupNetwork CupNode CutoffPolicy IndexEntry KeyState "
+            "LinearPolicy LogBasedPolicy LogarithmicPolicy NodeCache "
+            "OutgoingUpdateChannels QueryMessage QueryTree ReplicaEvent "
+            "ReplicaMessage SecondChancePolicy UpdateMessage UpdateType "
+            "break_even_justified_fraction justification_probability "
+            "make_policy standard_caching_miss_cost",
+    "core.costmodel": "expected_update_value saved_miss_overhead_ratio",
+    "experiments": "",
+    "invariants": "InvariantChecker InvariantViolationError",
+    "metrics": "MetricsCollector MetricsSummary",
+    "net": "",
+    "overlay": "CanOverlay ChordOverlay Overlay PastryOverlay RoutingError "
+               "Zone",
+    "persistence": "",
+    "replicas": "AuthorityIndex Replica ReplicaSet",
+    "scenarios": "Scenario run_scenario",
+    "sim": "RandomStreams Simulator Transport",
+    "workload": "CapacityFaultSchedule FlashCrowdKeys QueryTrace "
+                "QueryWorkload UniformKeys ZipfKeys once_down_always_down "
+                "up_and_down",
+    "workload.keyspace": "RotatingHotKeys",
+})

@@ -47,58 +47,55 @@ import sys
 import time
 from typing import Callable, Dict
 
-from repro.experiments import executor, runcache
-from repro.experiments.base import ExperimentResult
-from repro.experiments.capacity import run_capacity
-from repro.experiments.config import resolve_scale
-from repro.experiments.cutoff_policies import run_cutoff_policies
-from repro.experiments.justification import run_justification
-from repro.experiments.network_size import run_network_size
-from repro.experiments.push_level import run_push_level
-from repro.experiments.replicas_sweep import run_replicas_sweep
-
-Runner = Callable[..., ExperimentResult]
+# A namespace that imports a harness module when one is named: ``repro
+# node ...`` starts a daemon without the simulator, the harnesses or numpy.
+from repro import experiments
 
 EXPERIMENTS: Dict[str, tuple[str, Callable]] = {
     "fig3": (
         "Total and miss cost vs push level, low query rates (§3.3)",
-        lambda scale, seed: run_push_level(
+        lambda scale, seed: experiments.push_level.run_push_level(
             scale, paper_rates=(1.0, 10.0), seed=seed
         ),
     ),
     "fig4": (
         "Total and miss cost vs push level, high query rates (§3.3)",
-        lambda scale, seed: run_push_level(
+        lambda scale, seed: experiments.push_level.run_push_level(
             scale, paper_rates=(100.0, 1000.0), seed=seed,
             log_scale_figure=True,
         ),
     ),
     "table1": (
         "Total cost for varying cut-off policies (§3.4)",
-        lambda scale, seed: run_cutoff_policies(scale, seed=seed),
+        lambda scale, seed: experiments.cutoff_policies.run_cutoff_policies(
+            scale, seed=seed),
     ),
     "table2": (
         "CUP vs standard caching across network sizes (§3.5)",
-        lambda scale, seed: run_network_size(scale, seed=seed),
+        lambda scale, seed: experiments.network_size.run_network_size(
+            scale, seed=seed),
     ),
     "table3": (
         "Multiple replicas per key, naive vs fixed cut-off (§3.6)",
-        lambda scale, seed: run_replicas_sweep(scale, seed=seed),
+        lambda scale, seed: experiments.replicas_sweep.run_replicas_sweep(
+            scale, seed=seed),
     ),
     "fig5": (
         "Total cost vs reduced capacity, λ=1 (§3.7)",
-        lambda scale, seed: run_capacity(scale, paper_rate=1.0, seed=seed),
+        lambda scale, seed: experiments.capacity.run_capacity(
+            scale, paper_rate=1.0, seed=seed),
     ),
     "fig6": (
         "Total cost vs reduced capacity, high rate (§3.7)",
-        lambda scale, seed: run_capacity(
+        lambda scale, seed: experiments.capacity.run_capacity(
             scale, paper_rate=min(1000.0, scale.max_rate), seed=seed,
             log_scale_figure=True,
         ),
     ),
     "justification": (
         "Justified-update economics vs query rate (§3.1)",
-        lambda scale, seed: run_justification(scale, seed=seed),
+        lambda scale, seed: experiments.justification.run_justification(
+            scale, seed=seed),
     ),
 }
 
@@ -127,7 +124,7 @@ def _run_macro(args: argparse.Namespace) -> int:
         verify_restored,
     )
 
-    scale = resolve_scale(args.scale)
+    scale = experiments.resolve_scale(args.scale)
     path = args.checkpoint
     if args.resume:
         if path is None or not os.path.exists(path):
@@ -198,7 +195,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"choose from: {', '.join(EXPERIMENTS)} or 'all'", file=sys.stderr)
         return 2
-    scale = resolve_scale(args.scale)
+    from repro.experiments import executor, runcache
+
+    scale = experiments.resolve_scale(args.scale)
     if args.workers is not None:
         executor.configure(workers=args.workers)
     executor.configure_supervision(executor.Supervision(
@@ -290,9 +289,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # Profile actual simulation work: caches would reduce the profile to
     # JSON parsing, worker pools would move the work out of this
     # process.
+    from repro.experiments import executor, runcache
+
     runcache.configure(enabled=False)
     executor.configure(workers=1)
-    scale = resolve_scale(args.scale)
+    scale = experiments.resolve_scale(args.scale)
     profiler = cProfile.Profile()
     if name == "macro":
         from repro.core.protocol import CupNetwork

@@ -36,59 +36,21 @@ Modules
     analysis (§3.1).
 """
 
-from repro.core.cache import KeyState, NodeCache
-from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
-from repro.core.costmodel import (
-    break_even_justified_fraction,
-    justification_probability,
-    standard_caching_miss_cost,
-)
-from repro.core.entry import IndexEntry
-from repro.core.messages import (
-    ClearBitMessage,
-    QueryMessage,
-    ReplicaEvent,
-    ReplicaMessage,
-    UpdateMessage,
-    UpdateType,
-)
-from repro.core.node import CupNode
-from repro.core.policies import (
-    AllOutPolicy,
-    CutoffPolicy,
-    LinearPolicy,
-    LogarithmicPolicy,
-    LogBasedPolicy,
-    SecondChancePolicy,
-    make_policy,
-)
-from repro.core.protocol import CupConfig, CupNetwork
-from repro.core.trees import QueryTree
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOutPolicy",
-    "CapacityConfig",
-    "ClearBitMessage",
-    "CupConfig",
-    "CupNetwork",
-    "CupNode",
-    "CutoffPolicy",
-    "IndexEntry",
-    "KeyState",
-    "LinearPolicy",
-    "LogBasedPolicy",
-    "LogarithmicPolicy",
-    "NodeCache",
-    "OutgoingUpdateChannels",
-    "QueryMessage",
-    "QueryTree",
-    "ReplicaEvent",
-    "ReplicaMessage",
-    "SecondChancePolicy",
-    "UpdateMessage",
-    "UpdateType",
-    "break_even_justified_fraction",
-    "justification_probability",
-    "make_policy",
-    "standard_caching_miss_cost",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "cache": "KeyState NodeCache",
+    "channels": "CapacityConfig OutgoingUpdateChannels",
+    "costmodel": "break_even_justified_fraction justification_probability "
+                 "standard_caching_miss_cost",
+    "entry": "IndexEntry",
+    "keepalive": "",
+    "messages": "ClearBitMessage QueryMessage ReplicaEvent ReplicaMessage "
+                "UpdateMessage UpdateType",
+    "node": "CupNode",
+    "policies": "AllOutPolicy CutoffPolicy LinearPolicy LogarithmicPolicy "
+                "LogBasedPolicy SecondChancePolicy make_policy",
+    "protocol": "CupConfig CupNetwork",
+    "recovery": "",
+    "trees": "QueryTree",
+})

@@ -32,14 +32,15 @@ share the pump but at the highest priority, as §2.8 prescribes.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.cache import NO_ITEMS
 from repro.core.messages import UpdateMessage, UpdateType
 from repro.sim.engine import Simulator
 from repro.sim.network import NodeId
+
+if TYPE_CHECKING:  # annotations only: a live node runs without numpy
+    import numpy as np
 
 
 class CapacityConfig:

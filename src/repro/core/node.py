@@ -21,9 +21,7 @@ observation that a push level of zero *is* standard caching.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.cache import NO_ITEMS, NO_NEIGHBORS, KeyState, NodeCache
 from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
@@ -41,6 +39,9 @@ from repro.overlay.base import NodeId, Overlay
 from repro.replicas.authority import AuthorityIndex
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, Transport
+
+if TYPE_CHECKING:  # annotations only: a live node runs without numpy
+    import numpy as np
 
 
 class CupNode:

@@ -335,8 +335,10 @@ class RecoveryManager:
     # Durable state (live-node persistence)
     # ------------------------------------------------------------------
 
-    def export_state(self) -> dict:
-        """Plain-data snapshot of the state a restart must not forget.
+    def export_state(self, links=None) -> dict:
+        """Plain-data snapshot of the state a restart must not forget
+        (of the ``(peer, key)`` pairs in ``links`` alone, when given: the
+        slice the node store appends for the keys a tick dirtied).
 
         Three pieces survive a process death; everything else is
         legitimately volatile:
@@ -360,9 +362,16 @@ class RecoveryManager:
         """
         degraded = set(self.degraded_keys)
         degraded.update(key for _sender, key in self._gaps)
+        send_seq, recv_high = self._send_seq, self._recv_high
+        if links is None:
+            send_seq, recv_high = dict(send_seq), dict(recv_high)
+        else:
+            degraded.intersection_update(key for _peer, key in links)
+            send_seq = {l: send_seq[l] for l in links if l in send_seq}
+            recv_high = {l: recv_high[l] for l in links if l in recv_high}
         return {
-            "send_seq": dict(self._send_seq),
-            "recv_high": dict(self._recv_high),
+            "send_seq": send_seq,
+            "recv_high": recv_high,
             "degraded": sorted(degraded),
         }
 

@@ -26,7 +26,17 @@ examples) — per-key trees are independent, so a K-key workload is K
 superimposed copies of this experiment at rate λ/K each.
 """
 
-from repro.experiments.config import Scale, resolve_scale
-from repro.experiments.runner import run_config, run_pair
+from repro._lazy import lazy_exports
 
-__all__ = ["Scale", "resolve_scale", "run_config", "run_pair"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "capacity": "",
+    "config": "Scale resolve_scale",
+    "cutoff_policies": "",
+    "executor": "",
+    "justification": "",
+    "network_size": "",
+    "push_level": "",
+    "replicas_sweep": "",
+    "runcache": "",
+    "runner": "run_config run_pair",
+})

@@ -9,16 +9,8 @@ See :mod:`repro.invariants.checker` for the invariant catalogue and the
 hazard-based relaxation rules.
 """
 
-from repro.invariants.checker import (
-    HAZARDS,
-    InvariantChecker,
-    InvariantViolationError,
-    Violation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HAZARDS",
-    "InvariantChecker",
-    "InvariantViolationError",
-    "Violation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "checker": "HAZARDS InvariantChecker InvariantViolationError Violation",
+})

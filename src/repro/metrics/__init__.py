@@ -16,14 +16,9 @@ freezes the derived quantities, and :mod:`~repro.metrics.report` renders
 the paper-style tables.
 """
 
-from repro.metrics.collector import MetricsCollector, MetricsSummary
-from repro.metrics.report import Table, format_float, format_ratio, render_series
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricsCollector",
-    "MetricsSummary",
-    "Table",
-    "format_float",
-    "format_ratio",
-    "render_series",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "collector": "MetricsCollector MetricsSummary",
+    "report": "Table format_float format_ratio render_series",
+})

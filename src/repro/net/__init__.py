@@ -7,30 +7,13 @@ holds everything that only exists in the live world — framing
 (:mod:`~repro.net.daemon`) and its client (:mod:`~repro.net.client`).
 """
 
-from repro.net.client import NodeClient, parse_address
-from repro.net.clock import LiveClock
-from repro.net.daemon import LiveNode, LiveNodeConfig, run_node, serve
-from repro.net.transport import LiveTransport
-from repro.net.wire import (
-    FrameDecoder,
-    WireError,
-    encode_frame,
-    message_from_wire,
-    message_to_wire,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FrameDecoder",
-    "LiveClock",
-    "LiveNode",
-    "LiveNodeConfig",
-    "LiveTransport",
-    "NodeClient",
-    "WireError",
-    "encode_frame",
-    "message_from_wire",
-    "message_to_wire",
-    "parse_address",
-    "run_node",
-    "serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "client": "NodeClient parse_address",
+    "clock": "LiveClock",
+    "daemon": "LiveNode LiveNodeConfig run_node serve",
+    "transport": "LiveTransport",
+    "wire": "FrameDecoder WireError encode_frame message_from_wire "
+            "message_to_wire",
+})

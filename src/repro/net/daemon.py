@@ -45,10 +45,12 @@ Cluster mechanics
   rather than growing without limit against a dead destination.
 
 * **Durability.**  With ``--state-dir`` configured, the daemon
-  write-behind-snapshots its durable slice (cache entries + interest,
+  write-behind-saves its durable slice (cache entries + interest,
   authority index, member list, recovery watermarks) through
   :class:`~repro.persistence.nodestore.NodeStore` on a cadence and on
-  graceful stop.  At boot the snapshot is restored, so a restarted
+  graceful stop: a complete base once, then per tick only the keys that
+  passed :meth:`LiveNode.receive` or a client get since the last one.
+  At boot the base and its log are restored, so a restarted
   daemon *rejoins warm*: it re-announces itself (``hello`` with a
   ``rejoin`` flag), re-grafts its interests via background pulls, and
   serves local hits from the restored cache immediately while the
@@ -266,10 +268,15 @@ class LiveNode:
         self.keepalive: Optional[KeepAliveMonitor] = None
         self.members: Set[str] = set()
         self._conns: Dict[str, _PeerLink] = {}
+        #: Every open link, the losers of a simultaneous-dial race too
+        #: (``_conns`` holds only the one that sends).
+        self._links: Set[_PeerLink] = set()
         self._dialing: Dict[str, asyncio.Task] = {}
         self._health: Dict[str, _PeerHealth] = {}
         self._seeds: Set[str] = set()
         self._store: Optional[NodeStore] = None
+        #: The store's dirty set (None when stateless: nothing to fill).
+        self._dirty: Optional[set] = None
         self._snapshot_process: Optional[PeriodicProcess] = None
         self._rejoined = False
         self._server: Optional[asyncio.base_events.Server] = None
@@ -299,17 +306,24 @@ class LiveNode:
     # ------------------------------------------------------------------
 
     def receive(self, message, sender) -> None:
-        """Let the core handle ``message``, then wake the key's gets.
+        """Let the core handle ``message``, then wake the key's gets and
+        mark the key for the next save.
 
         What a waiting get tests — fresh entries for its key, in the
         cache or the authority index — changes only inside the core's
         handler (or with the membership), so the update that answers a
-        get is also what wakes it.
+        get is also what wakes it; and what the store persists per key
+        changes only there or in a client get (a membership change
+        rewrites the base).
         """
         self.node.receive(message, sender)
+        key = getattr(message, "key", None)
+        if key is None:  # keep-alives carry no key
+            return
+        if self._dirty is not None:
+            self._dirty.add((key, getattr(message, "replica_id", None)))
         if self._get_waiters:
-            # Keep-alives carry no key.
-            _wake(self._get_waiters.get(getattr(message, "key", None), ()))
+            _wake(self._get_waiters.get(key, ()))
 
     # ------------------------------------------------------------------
     # Router interface (consumed by LiveTransport)
@@ -388,6 +402,7 @@ class LiveNode:
         self.node.keepalive_monitor = self.keepalive
         if config.state_dir is not None:
             self._store = NodeStore(config.state_dir)
+            self._dirty = self._store.dirty
             self._restore_state()
         self.keepalive.start()
         if config.gc_interval > 0:
@@ -497,11 +512,11 @@ class LiveNode:
         for key in sorted(node.cache.states):
             node._recover_by_pull(key)
 
-    def _snapshot_state(self) -> None:
+    def _snapshot_state(self, base: bool = False) -> None:
         if self._store is None:
             return
         try:
-            self._store.save(self)
+            self._store.save(self, base=base)
         except Exception as exc:  # disk full, perms — keep serving
             self.metrics.state_snapshot_failures += 1
             self._log(f"state snapshot failed: {exc}")
@@ -526,19 +541,23 @@ class LiveNode:
             self._gc_process.stop()
         if self._snapshot_process is not None:
             self._snapshot_process.stop()
-        self._snapshot_state()  # the state a graceful stop resumes from
+        # The state a graceful stop resumes from: one base, no log.
+        self._snapshot_state(base=True)
         for health in self._health.values():
             health.cancel_timers()
         for link in list(self._conns.values()):
             link.send_json({"t": "leaving", "id": self.node_id})
         # One breath for the leaving frames to flush through the queues.
         await asyncio.sleep(0.05)
-        for task in list(self._dialing.values()):
-            task.cancel()
-        for link in list(self._conns.values()):
-            if link.reader_task is not None:
-                link.reader_task.cancel()
+        # Every open link, not only the registry's: the loser of a
+        # simultaneous dial still has a reader and a writer task.
+        tasks = list(self._dialing.values())
+        for link in list(self._links):
+            tasks += [link.reader_task, link.writer_task]
             link.close()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         self._conns.clear()
         if self._server is not None:
             self._server.close()
@@ -788,10 +807,12 @@ class LiveNode:
         # connection, and the recovery layer absorbs cross-connection
         # reordering like any other transport anomaly).
         self._conns[link.peer_id] = link
+        self._links.add(link)
         link.writer_task = asyncio.ensure_future(link.drain_outbox())
 
     def _link_closed(self, link: _PeerLink) -> None:
         link.close()
+        self._links.discard(link)
         if self._conns.get(link.peer_id) is link:
             del self._conns[link.peer_id]
             # A member's link dropping is the first crash signal most
@@ -874,6 +895,7 @@ class LiveNode:
                     elif frame.get("t") == "hello":
                         peer_id = _hello_id(frame)
                         link = self._make_link(peer_id, writer)
+                        link.reader_task = asyncio.current_task()
                         self._register_link(link)
                         self._welcome(link, peer_id, frame)
                     else:
@@ -965,6 +987,9 @@ class LiveNode:
         node = self.node
         loop = self.clock.loop
         deadline = loop.time() + timeout
+        dirty = self._dirty
+        if dirty is not None:
+            dirty.add((key, None))
         node.post_local_query(key)
         last_query = loop.time()
         state = node.cache.get_or_create(key)
@@ -995,6 +1020,8 @@ class LiveNode:
                 if loop.time() - last_query >= 1.0:
                     # Re-post past the PFU timeout so a query frame lost
                     # to a mid-dial window gets re-pushed upstream.
+                    if dirty is not None:
+                        dirty.add((key, None))  # a save may have come by
                     node.post_local_query(key)
                     last_query = loop.time()
                 remaining = min(remaining, last_query + 1.0 - loop.time())
@@ -1049,10 +1076,7 @@ class LiveNode:
                        "dial_failures": health.dial_failures}
                 for peer, health in sorted(self._health.items())
             },
-            "persistence": (
-                None if store is None
-                else {"path": store.path, "saves": store.saves}
-            ),
+            "persistence": None if store is None else store.report(),
             "violations": (
                 len(checker.violations) if checker is not None else None
             ),

@@ -18,20 +18,12 @@ This package provides:
   into each overlay's coordinate space.
 """
 
-from repro.overlay.base import Overlay, RoutingError
-from repro.overlay.can import CanNodeState, CanOverlay, Zone
-from repro.overlay.chord import ChordOverlay
-from repro.overlay.hashing import hash_to_int, hash_to_unit_point
-from repro.overlay.pastry import PastryOverlay
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CanNodeState",
-    "CanOverlay",
-    "ChordOverlay",
-    "Overlay",
-    "PastryOverlay",
-    "RoutingError",
-    "Zone",
-    "hash_to_int",
-    "hash_to_unit_point",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "base": "Overlay RoutingError",
+    "can": "CanNodeState CanOverlay Zone",
+    "chord": "ChordOverlay",
+    "hashing": "hash_to_int hash_to_unit_point",
+    "pastry": "PastryOverlay",
+})

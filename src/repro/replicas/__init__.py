@@ -18,7 +18,9 @@ keep-alives and deletes the entry itself).
   and "lifetime of replicas" inputs).
 """
 
-from repro.replicas.authority import AuthorityIndex
-from repro.replicas.replica import Replica, ReplicaSet
+from repro._lazy import lazy_exports
 
-__all__ = ["AuthorityIndex", "Replica", "ReplicaSet"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "authority": "AuthorityIndex",
+    "replica": "Replica ReplicaSet",
+})

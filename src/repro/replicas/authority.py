@@ -172,6 +172,34 @@ class AuthorityIndex:
                 extracted[key] = per_key
         return extracted
 
+    # ------------------------------------------------------------------
+    # Durable slices (live-node persistence)
+    # ------------------------------------------------------------------
+
+    def export_slice(self, pairs) -> dict:
+        """The directory of each key in the ``(key, replica_id)`` pairs
+        (``None``: no entry left) and the sequence counter of each pair
+        that has one — what the node store appends for a tick's dirty
+        keys."""
+        entries, sequences = self._entries, self._sequences
+        return {
+            "entries": {key: entries.get(key) for key, _ in pairs},
+            "sequences": {
+                pair: sequences[pair] for pair in pairs if pair in sequences
+            },
+        }
+
+    def install_slice(self, exported: dict) -> None:
+        """Replay an :meth:`export_slice` over this index."""
+        for key, per_key in exported["entries"].items():
+            if per_key:
+                self._own_directory()[key] = per_key
+            elif key in self._entries:
+                del self._entries[key]
+        if exported["sequences"]:
+            self._own_directory()
+            self._sequences.update(exported["sequences"])
+
     def absorb(self, slices: Dict[str, Dict[str, IndexEntry]]) -> int:
         """Merge handed-over directory slices, deduplicating by sequence.
 

@@ -20,45 +20,13 @@ See ``docs/scenarios.md`` for the DSL guide and ``docs/robustness.md``
 for the fault model and recovery protocol.
 """
 
-from repro.scenarios.builtin import SCENARIOS
-from repro.scenarios.dsl import (
-    CapacityFault,
-    ChaosSpec,
-    ChurnBurst,
-    DelayJitter,
-    DuplicateDelivery,
-    FlashCrowd,
-    MessageLoss,
-    NodeCrashRecover,
-    Partition,
-    Phase,
-    PopularityDrift,
-    Quiet,
-    Scenario,
-    ScenarioRuntime,
-    default_base_config,
-    with_chaos,
-)
-from repro.scenarios.runner import ScenarioResult, run_scenario
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CapacityFault",
-    "ChaosSpec",
-    "ChurnBurst",
-    "DelayJitter",
-    "DuplicateDelivery",
-    "FlashCrowd",
-    "MessageLoss",
-    "NodeCrashRecover",
-    "Partition",
-    "Phase",
-    "PopularityDrift",
-    "Quiet",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioRuntime",
-    "default_base_config",
-    "run_scenario",
-    "with_chaos",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "builtin": "SCENARIOS",
+    "dsl": "CapacityFault ChaosSpec ChurnBurst DelayJitter "
+           "DuplicateDelivery FlashCrowd MessageLoss NodeCrashRecover "
+           "Partition Phase PopularityDrift Quiet Scenario ScenarioRuntime "
+           "default_base_config with_chaos",
+    "runner": "ScenarioResult run_scenario",
+})

@@ -17,22 +17,12 @@ deterministic replacement with the same capabilities CUP needs:
 * :mod:`~repro.sim.trace` — structured, filterable event tracing.
 """
 
-from repro.sim.engine import Event, Simulator, SimulatorError
-from repro.sim.network import Link, Message, Transport
-from repro.sim.process import PeriodicProcess, Timer
-from repro.sim.random import RandomStreams
-from repro.sim.trace import TraceRecord, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "Link",
-    "Message",
-    "PeriodicProcess",
-    "RandomStreams",
-    "Simulator",
-    "SimulatorError",
-    "Timer",
-    "TraceRecord",
-    "Tracer",
-    "Transport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "engine": "Event Simulator SimulatorError",
+    "network": "Link Message Transport",
+    "process": "PeriodicProcess Timer",
+    "random": "RandomStreams",
+    "trace": "TraceRecord Tracer",
+})

@@ -16,33 +16,13 @@ capacity faults on random node subsets.
 * :mod:`~repro.workload.churn` — node arrival/departure schedules (§2.9).
 """
 
-from repro.workload.arrivals import DeterministicArrivals, PoissonArrivals
-from repro.workload.churn import ChurnSchedule
-from repro.workload.faults import (
-    CapacityFaultSchedule,
-    once_down_always_down,
-    up_and_down,
-)
-from repro.workload.generator import QueryWorkload
-from repro.workload.keyspace import (
-    FlashCrowdKeys,
-    KeySelector,
-    UniformKeys,
-    ZipfKeys,
-)
-from repro.workload.tracefile import QueryTrace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CapacityFaultSchedule",
-    "ChurnSchedule",
-    "DeterministicArrivals",
-    "FlashCrowdKeys",
-    "KeySelector",
-    "PoissonArrivals",
-    "QueryTrace",
-    "QueryWorkload",
-    "UniformKeys",
-    "ZipfKeys",
-    "once_down_always_down",
-    "up_and_down",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "arrivals": "DeterministicArrivals PoissonArrivals",
+    "churn": "ChurnSchedule",
+    "faults": "CapacityFaultSchedule once_down_always_down up_and_down",
+    "generator": "QueryWorkload",
+    "keyspace": "FlashCrowdKeys KeySelector UniformKeys ZipfKeys",
+    "tracefile": "QueryTrace",
+})

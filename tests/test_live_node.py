@@ -587,6 +587,79 @@ def test_outbox_is_bounded_and_overflow_counted():
     _run_cluster(2, scenario, outbox_limit=8)
 
 
+def test_simultaneous_dial_losers_are_stopped_with_the_node():
+    # Two nodes dial each other at once: each ends up with two links to
+    # its peer and the later one takes the registry.  When the dials
+    # interleave so that one connection loses at *both* ends, neither
+    # side's shutdown used to close it: its reader and writer tasks were
+    # left pending, and reported as "Task was destroyed but it is
+    # pending" once collected.
+    async def main():
+        loop = asyncio.get_running_loop()
+        reported = []
+        loop.set_exception_handler(
+            lambda _loop, context: reported.append(context))
+        nodes = [LiveNode(LiveNodeConfig(port=0, quiet=True))
+                 for _ in range(2)]
+        for node in nodes:
+            await node.start()
+        a, b = nodes
+        a._add_member(b.node_id)
+        b._add_member(a.node_id)
+        # A's dial lands and B accepts it; B's own dial, begun before
+        # that, completes only now (``_dial`` is what ``_ensure_link``
+        # had already started): at B the dialed link wins, and its hello
+        # makes A's accepted link win there.
+        first = await a._ensure_link(b.node_id, probe=True)
+        await _poll(lambda: a.node_id in b._conns)
+        second = await b._dial(a.node_id)
+        await _poll(lambda: a._conns[b.node_id] is not first)
+        assert b._conns[a.node_id] is second
+        assert len(a._links) == len(b._links) == 2
+        await _stop_all(nodes)
+        assert not a._links and not b._links
+        await asyncio.sleep(0)  # the accept callbacks' last step
+        pending = [task for task in asyncio.all_tasks()
+                   if task is not asyncio.current_task()]
+        assert pending == []
+        assert reported == []
+
+    asyncio.run(main())
+
+
+def test_info_reports_what_the_store_is_doing(tmp_path):
+    async def main():
+        node = LiveNode(LiveNodeConfig(
+            port=0, quiet=True, state_dir=str(tmp_path),
+            snapshot_interval=3600.0))
+        await node.start()
+        try:
+            key = _keys_owned_by(node, "info", 1)[0]
+            put = {"key": key, "replica_id": "r1", "lifetime": 300.0}
+            await node._client_put(dict(put))
+            node._snapshot_state()  # the first save of a process: a base
+            first = node._client_info()["persistence"]
+            assert first["last_save_kind"] == "base"
+            assert first["base_bytes"] > 0 and first["log_bytes"] == 0
+            await node._client_put(dict(put, event="refresh"))
+            await asyncio.sleep(0)  # the direct message to itself lands
+            node._snapshot_state()
+            second = node._client_info()["persistence"]
+            assert second == dict(
+                first, saves=2, last_save_kind="log", log_records=1,
+                log_bytes=second["log_bytes"],
+                last_save_ms=second["last_save_ms"])
+            assert second["log_bytes"] > 0
+            assert set(second) == {
+                "path", "saves", "base_bytes", "log_bytes", "log_records",
+                "last_save_kind", "last_save_ms", "replayed",
+                "torn_dropped", "stale_dropped"}
+        finally:
+            await _stop_all([node])
+
+    asyncio.run(main())
+
+
 def test_hazard_window_client_op():
     async def scenario(nodes):
         node = nodes[0]

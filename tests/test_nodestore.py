@@ -24,6 +24,7 @@ from repro.replicas.authority import AuthorityIndex
 NOW = 1000.0
 SELF = "127.0.0.1:7001"
 PEER = "127.0.0.1:7002"
+THIRD = "127.0.0.1:7003"
 
 
 def fresh_entry(key, seq=1, lifetime=500.0, timestamp=NOW - 1.0):
@@ -138,10 +139,11 @@ def test_atomic_overwrite_keeps_single_loadable_file(tmp_path):
     store = NodeStore(tmp_path)
     store.save(daemon)
     daemon.node.cache.get_or_create("k2").apply_entry(fresh_entry("k2"))
+    daemon.members.add(THIRD)  # a membership change rewrites the base
     store.save(daemon)
     assert store.saves == 2
     assert sorted(store.load().cache.states) == ["k1", "k2"]
-    # No stray temp files left behind by the atomic writer.
+    # No stray temp files left behind by the atomic writer, and no log.
     assert [p.name for p in tmp_path.iterdir()] == [
         nodestore.STATE_FILENAME
     ]
@@ -262,3 +264,208 @@ def test_open_gaps_fold_into_degraded_on_export():
     )()
     exported = recovery.export_state()
     assert "gap-key" in exported["degraded"]
+
+
+# ----------------------------------------------------------------------
+# Base + log: what a tick writes, what a load replays
+# ----------------------------------------------------------------------
+
+
+def touch(daemon, store, key, seq, interest=None):
+    """Mutate ``key`` the way a door would: change it, mark it dirty."""
+    state = daemon.node.cache.get_or_create(key)
+    state.apply_entry(fresh_entry(key, seq=seq))
+    if interest is not None:
+        state.register_interest(interest)
+    store.dirty.add((key, None))
+
+
+def sequences(state):
+    return {key: max(e.sequence for e in key_state.entries.values())
+            for key, key_state in state.cache.states.items()}
+
+
+def test_base_is_rewritten_exactly_when_the_rule_says(tmp_path):
+    daemon = make_daemon()
+    store = NodeStore(tmp_path)
+    base = tmp_path / nodestore.STATE_FILENAME
+    log = tmp_path / nodestore.LOG_FILENAME
+
+    assert store.save(daemon) == str(base)  # the first save of a process
+    assert store.last_save_kind == "base" and not log.exists()
+
+    before = (base.stat().st_mtime_ns, store.saves)
+    assert store.save(daemon) == str(base)  # nothing dirty: nothing written
+    assert (base.stat().st_mtime_ns, store.saves) == before
+    assert not log.exists()
+
+    touch(daemon, store, "k2", seq=1)
+    assert store.save(daemon) == str(log)
+    assert store.last_save_kind == "log" and store.log_records == 1
+    assert base.stat().st_mtime_ns == before[0] and not store.dirty
+    assert log.stat().st_size == store.log_bytes
+
+    daemon.members.add(THIRD)  # patch_after_churn touches every key
+    assert store.save(daemon) == str(base)
+    assert store.last_save_kind == "base" and not log.exists()
+    assert store.log_records == 0 and store.log_bytes == 0
+
+    touch(daemon, store, "k2", seq=2)
+    store.save(daemon)
+    assert store.save(daemon, base=True) == str(base)  # graceful stop
+    assert not log.exists()
+
+    # The log outgrows the base: the save that finds it so folds it in.
+    kinds = []
+    for seq in range(3, 200):
+        touch(daemon, store, "k2", seq=seq)
+        outgrown = store.log_bytes > store.base_bytes
+        store.save(daemon)
+        kinds.append((outgrown, store.last_save_kind))
+        if outgrown:
+            break
+    assert kinds[-1] == (True, "base")
+    assert all(kind == (False, "log") for kind in kinds[:-1]) and kinds[:-1]
+    assert sequences(NodeStore(tmp_path).load())["k2"] == seq
+
+
+def test_load_replays_the_log_over_the_base(tmp_path):
+    recovery = make_recovery()
+    daemon = make_daemon(recovery=recovery)
+    store = NodeStore(tmp_path)
+    store.save(daemon)
+    touch(daemon, store, "k1", seq=9)
+    touch(daemon, store, "k2", seq=1, interest=PEER)
+    recovery._send_seq[(PEER, "k2")] = 3
+    recovery._recv_high[(PEER, "k1")] = 7
+    recovery._recv_high[(PEER, "untouched")] = 5  # not dirty: not logged
+    recovery.degraded_keys.add("k2")
+    store.save(daemon)
+    del daemon.node.cache.states["k2"]  # gone by the next tick
+    recovery.degraded_keys.discard("k2")
+    store.dirty.add(("k2", None))
+    store.save(daemon)
+
+    reader = NodeStore(tmp_path)
+    state = reader.load(expect_node_id=SELF, expect_mode="cup")
+    assert sequences(state) == {"k1": 9}
+    assert state.recovery == {
+        "send_seq": {(PEER, "k2"): 3},
+        "recv_high": {(PEER, "k1"): 7},
+        "degraded": [],
+    }
+    assert (reader.replayed, reader.log_records, reader.torn_dropped,
+            reader.stale_dropped) == (2, 2, 0, 0)
+    assert reader.report()["log_bytes"] == store.log_bytes > 0
+
+
+def test_authority_slices_and_sequence_counters_ride_the_log(tmp_path):
+    from repro.core.messages import ReplicaEvent, ReplicaMessage
+
+    daemon = make_daemon()
+    authority = daemon.node.authority_index
+    store = NodeStore(tmp_path)
+    store.save(daemon)
+
+    def replica(event, key, replica_id):
+        authority.apply_replica_message(
+            ReplicaMessage(event, key, replica_id, "addr", 300.0), NOW)
+        store.dirty.add((key, replica_id))
+
+    replica(ReplicaEvent.BIRTH, "owned", "r1")
+    replica(ReplicaEvent.REFRESH, "owned", "r1")
+    replica(ReplicaEvent.BIRTH, "brief", "r2")  # born and dead in one tick
+    replica(ReplicaEvent.DEATH, "brief", "r2")
+    store.save(daemon)
+    replica(ReplicaEvent.DEATH, "owned", "r1")
+    store.save(daemon)
+
+    restored = NodeStore(tmp_path).load().authority
+    assert list(restored.keys()) == []
+    # A counter restarted at 1 would make the next birth look stale.
+    assert restored._sequences == authority._sequences == {
+        ("owned", "r1"): 2, ("brief", "r2"): 1,
+    }
+
+
+def test_a_torn_or_corrupt_last_record_is_dropped_and_counted(tmp_path):
+    daemon = make_daemon()
+    store = NodeStore(tmp_path)
+    store.save(daemon)
+    touch(daemon, store, "k1", seq=5)
+    store.save(daemon)
+    whole = store.log_bytes  # the log up to the previous tick
+    touch(daemon, store, "k1", seq=6)
+    touch(daemon, store, "k2", seq=1)
+    store.save(daemon)
+    log = tmp_path / nodestore.LOG_FILENAME
+    data = log.read_bytes()
+    assert len(data) == store.log_bytes > whole
+
+    def loaded():
+        reader = NodeStore(tmp_path)
+        return sequences(reader.load()), reader.replayed, \
+            reader.torn_dropped
+
+    assert loaded() == ({"k1": 6, "k2": 1}, 2, 0)
+    for cut in range(whole, len(data)):  # every byte offset of the record
+        log.write_bytes(data[:cut])
+        assert loaded() == ({"k1": 5}, 1, int(cut > whole)), cut
+    for offset in range(whole, len(data)):
+        flipped = bytearray(data)
+        flipped[offset] ^= 0x40
+        log.write_bytes(bytes(flipped))
+        assert loaded() == ({"k1": 5}, 1, 1), offset
+
+
+def test_a_log_that_names_an_older_base_is_ignored(tmp_path):
+    daemon = make_daemon()
+    store = NodeStore(tmp_path)
+    store.save(daemon)
+    touch(daemon, store, "k1", seq=5)
+    touch(daemon, store, "stale-only", seq=1)
+    store.save(daemon)
+    log = tmp_path / nodestore.LOG_FILENAME
+    left_behind = log.read_bytes()
+    # A crash between the new base's os.replace and the log's unlink.
+    del daemon.node.cache.states["stale-only"]
+    store.save(daemon, base=True)
+    log.write_bytes(left_behind)
+
+    reader = NodeStore(tmp_path)
+    assert sequences(reader.load()) == {"k1": 5}
+    assert (reader.replayed, reader.stale_dropped,
+            reader.torn_dropped) == (0, 1, 0)
+    # The next process starts from a base of its own and clears it away.
+    reader.save(daemon)
+    assert not log.exists()
+
+
+def test_a_failed_append_starts_over_from_a_base(tmp_path):
+    daemon = make_daemon()
+    store = NodeStore(tmp_path)
+    store.save(daemon)
+    touch(daemon, store, "k2", seq=1)
+    (tmp_path / nodestore.LOG_FILENAME).mkdir()  # open(..., "ab") fails
+    with pytest.raises(OSError):
+        store.save(daemon)
+    assert store.dirty == {("k2", None)}  # nothing forgotten
+    (tmp_path / nodestore.LOG_FILENAME).rmdir()
+    store.save(daemon)
+    assert store.last_save_kind == "base"
+    assert sequences(NodeStore(tmp_path).load()) == {"k1": 4, "k2": 1}
+
+
+def test_sanitize_blanks_what_only_timers_and_the_sweep_touch():
+    daemon = make_daemon()
+    live = daemon.node.cache.states["k1"]
+    live.parent, live.distance, live.is_authority_here = PEER, 2, True
+    live.clear_bit_sent = True
+    live.min_expires = 0.0  # a stale-low bound the gc sweep would tighten
+    state = state_from_blob(state_to_blob(capture_state(daemon)))
+    sanitize_restored(state, now=NOW)
+    restored = state.cache.states["k1"]
+    assert (restored.parent, restored.distance,
+            restored.is_authority_here, restored.clear_bit_sent) == (
+        None, -1, False, False)
+    assert restored.min_expires == restored.max_expires == NOW - 1.0 + 500.0
