@@ -13,12 +13,17 @@ real processes and real sockets:
    avoids the stateless node, whose cold crash forgets its own
    replica directory); then refresh that key and wait for the victim's
    next save, which appends it to the log beside the base;
-3. open invariant hazard windows on the survivors, then ``kill -9``
-   the durable victim and wait for suspicion to evict it from every
-   surviving member view;
+3. leave the cluster idle for twice its suspect-plus-grace window and
+   require that no node declared a healthy peer dead (Chord neighbour
+   sets are one-sided, so a node watches fingers that never send to
+   it); then open invariant hazard windows on the survivors,
+   ``kill -9`` the durable victim and wait for suspicion to evict it
+   from every surviving member view;
 4. restart the victim from its state dir alone (no seed peers): it
-   must rejoin warm — full member view reconverges everywhere, the
-   restarted daemon reports ``rejoined`` with restored keys, and a
+   must rejoin warm — full member view reconverges everywhere, every
+   survivor holds the victim alive at a higher incarnation than before
+   the kill, the restarted daemon reports ``rejoined`` with restored
+   keys, and a
    repeat get of the pre-crash key is a *local hit* (no network pull)
    at the *refreshed* sequence or later — state that was only ever in a
    log record (the drill prints how many it replayed);
@@ -50,6 +55,12 @@ from repro.net.client import NodeClient  # noqa: E402
 
 KEYS = ["chaos/alpha", "chaos/beta", "chaos/gamma"]
 LIFETIME = 600.0
+KEEPALIVE_PERIOD = 0.5
+KEEPALIVE_MISSES = 3
+#: Silence until a suspicion (one period more at the tick's granularity)
+#: plus the grace a suspect row gets before it is declared dead.
+SUSPECT_AND_GRACE = (KEEPALIVE_PERIOD * (KEEPALIVE_MISSES + 1)
+                     + KEEPALIVE_PERIOD * KEEPALIVE_MISSES)
 
 
 def free_port() -> int:
@@ -144,6 +155,15 @@ def wait_members(addresses, want, deadline: float) -> None:
     )
 
 
+def rows_for(addresses, member) -> dict:
+    """Each node's peer-table row for ``member``: (incarnation, status)."""
+    rows = {}
+    for address in addresses:
+        row = rpc(address, lambda c: c.info())["peers"].get(member, {})
+        rows[address] = (row.get("incarnation", -1), row.get("status"))
+    return rows
+
+
 def wait_quiesced(addresses, deadline: float) -> None:
     """All recovery gaps closed everywhere (counters reconciled)."""
     last = {}
@@ -187,7 +207,8 @@ def main() -> int:
         for address, port in zip(durable, ports[:3])
     }
     tuning = [
-        "--keepalive-period", "0.5", "--keepalive-misses", "3",
+        "--keepalive-period", str(KEEPALIVE_PERIOD),
+        "--keepalive-misses", str(KEEPALIVE_MISSES),
         "--pfu-timeout", "1.0",
     ]
 
@@ -303,9 +324,23 @@ def main() -> int:
               f"({saved['log_records']} log records, {saved['log_bytes']} B "
               f"beside a {saved['base_bytes']} B base)")
 
-        print("[3/8] opening hazard windows on survivors, then kill -9 "
-              f"{victim}")
+        quiet = 2 * SUSPECT_AND_GRACE
+        print(f"[3/8] {quiet:.1f}s quiet window: nobody may declare a "
+              "healthy peer dead")
+        time.sleep(quiet)
+        declared = {
+            address: rpc(address, lambda c: c.info())["livenode"][
+                "peers_declared_dead"]
+            for address in addresses
+        }
+        if any(declared.values()):
+            failures.append(f"peers declared dead in an idle cluster, "
+                            f"per node: {declared}")
         survivors = [a for a in addresses if a != victim]
+        held = rows_for(survivors, victim)
+        print(f"      peers declared dead, per node: {declared}")
+        print(f"      survivors hold {victim} at {held}; opening hazard "
+              f"windows on survivors, then kill -9 {victim}")
         for address in survivors:
             reply = rpc(address,
                         lambda c: c.hazard(["loss"], duration=120.0))
@@ -331,6 +366,20 @@ def main() -> int:
                 f"restarted {victim} restored {restored} keys"
             )
         wait_members(addresses, addresses, deadline)
+        rows = held
+        while time.monotonic() < deadline:
+            rows = rows_for(survivors, victim)
+            if all(rows[a][1] == "alive" and rows[a][0] > held[a][0]
+                   for a in survivors):
+                break
+            time.sleep(0.1)
+        else:
+            failures.append(f"survivors never held {victim} alive above "
+                            f"its pre-kill incarnation: {held} -> {rows}")
+        for address in survivors:
+            print(f"      {address} holds {victim} at incarnation "
+                  f"{held[address][0]} before the kill, "
+                  f"{rows[address][0]} ({rows[address][1]}) after")
         store = info.get("persistence") or {}
         replayed = store.get("replayed", 0)
         print(f"      member view reconverged; {restored} keys restored "

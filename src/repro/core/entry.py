@@ -47,7 +47,7 @@ class IndexEntry:
         timestamp: float,
         sequence: int = 0,
     ):
-        if lifetime <= 0:
+        if not lifetime > 0:
             raise ValueError(f"lifetime must be positive, got {lifetime}")
         self.key = key
         self.replica_id = replica_id

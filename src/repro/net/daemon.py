@@ -11,33 +11,36 @@ Cluster mechanics
 -----------------
 
 * **Identity.**  A node's id *is* its dialable listen address
-  (``"host:port"``), so the membership set doubles as the address book
-  and :class:`~repro.overlay.chord.ChordOverlay` — which accepts any
-  hashable id — hashes it onto the ring.  Every member derives the same
-  ring from the same membership, so routing agrees cluster-wide without
-  a coordination protocol.
+  (``"host:port"``): the membership doubles as the address book, and
+  every member hashes the same membership onto the same
+  :class:`~repro.overlay.chord.ChordOverlay` ring, so routing agrees
+  cluster-wide without a coordination protocol.
 
-* **Join.**  A newcomer dials any seed member and sends ``hello``; the
-  seed replies ``welcome`` (the full member list) and broadcasts
-  ``joined`` to everyone else.  The newcomer then dials every member it
-  learned of.  Established members never dial newcomers eagerly — but
-  any send toward a member without a connection triggers a background
-  heal dial, so the mesh self-repairs (the frame that triggered the
-  heal is dropped and counted, exactly like a simulator send to a
-  departed node; CUP's PFU timeout and recovery NACKs take it from
-  there).
+* **The peer table** ``{id: (incarnation, status)}`` merges one way
+  (:func:`merge`): per id the larger ``(incarnation, rank)`` wins, with
+  ``alive < suspect < dead``.  ``members`` is the ids not dead.  Each row
+  a merge changes takes effect through ``_add_member`` /
+  ``_remove_member`` (the overlay, the interest patch of §2.9, the
+  checker, waiting gets) and is sent once on every other open link.
 
-* **Leave / failure.**  Graceful shutdown broadcasts ``leaving``.
-  Silent death is caught by the same
-  :class:`~repro.core.keepalive.KeepAliveMonitor` the simulator uses:
-  heartbeats ride the live transport and any received traffic proves
-  life.  A first strike (keep-alive misses or consecutive dial
-  failures) only *suspects* the peer — it is probed immediately and
-  given one keep-alive window of grace, because a flapping peer that
-  answers the probe should not lose its interest bits.  Only a second
-  strike (grace expiry, more misses, or enough dial failures) declares
-  it dead and removes the member — the overlay absorbs its arc and
-  interest bits are patched (§2.9).
+* **Frames.**  ``hello`` carries the dialer's id and table, and the
+  acceptor answers with its own in a ``peers`` frame, the kind that also
+  carries changed rows; ``msg`` / ``direct`` carry one protocol message.
+  Any other kind drops the link: a mixed-version cluster is unsupported.
+  A joiner dials every member its seed names.  Otherwise a send toward a
+  member without a link starts a background heal dial and the frame is
+  dropped and counted (CUP's PFU timeout and recovery NACKs re-cover it).
+
+* **Failure.**  Detectors only write rows: keep-alive misses or
+  ``SUSPECT_AFTER`` dial failures write ``(Y, i, suspect)`` and arm a
+  grace timer; its expiry or ``DEAD_AFTER`` failures write
+  ``(Y, i, dead)``, which loses to any newer row.  A node that hears
+  itself held suspect or dead announces itself alive one incarnation
+  higher, so a suspicion is the probe that a healthy Chord finger —
+  neighbour sets are one-sided — answers.  Graceful shutdown writes the
+  node's own row dead.  Incarnations start at 0 on every boot and are
+  never stored: refutation lifts a restarted node past any row its peers
+  still hold, so cold and warm restarts rejoin the same way.
 
 * **Dialing.**  Dial failures back off exponentially per peer (capped,
   jittered) instead of being retried by every frame that wants the
@@ -51,8 +54,8 @@ Cluster mechanics
   graceful stop: a complete base once, then per tick only the keys that
   passed :meth:`LiveNode.receive` or a client get since the last one.
   At boot the base and its log are restored, so a restarted
-  daemon *rejoins warm*: it re-announces itself (``hello`` with a
-  ``rejoin`` flag), re-grafts its interests via background pulls, and
+  daemon *rejoins warm*: it says ``hello`` to every restored member,
+  re-grafts its interests via background pulls, and
   serves local hits from the restored cache immediately while the
   pulls reconcile any staleness accrued during the outage.
 
@@ -102,8 +105,31 @@ from repro.sim.process import PeriodicProcess
 _READ_CHUNK = 1 << 16
 #: Identifier bits of the Chord ring every member derives.
 _OVERLAY_BITS = 32
-#: Seconds a joiner waits for each seed to connect and send ``welcome``.
+#: Seconds a joiner waits for each seed to connect and answer its hello.
 _JOIN_TIMEOUT = 10.0
+#: Consecutive dial failures before a member is suspected / declared dead.
+SUSPECT_AFTER = 2
+DEAD_AFTER = 6
+#: Peer-table statuses, ranked: at equal incarnation the later one wins.
+ALIVE, SUSPECT, DEAD = "alive", "suspect", "dead"
+_RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2}
+
+
+def merge(table: dict, rows) -> dict:
+    """Fold ``rows`` — ``(id, (incarnation, status))`` pairs — into
+    ``table`` and return the ids whose row changed, each mapped to the row
+    it held before (``None``: unknown until now).
+
+    A row replaces the one it names only when its ``(incarnation, rank)``
+    is the larger, so merging is commutative, associative and idempotent.
+    """
+    changed = {}
+    for peer, row in rows:
+        old = table.get(peer)
+        if old is None or (row[0], _RANK[row[1]]) > (old[0], _RANK[old[1]]):
+            changed.setdefault(peer, old)
+            table[peer] = row
+    return changed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,11 +171,6 @@ class LiveNodeConfig:
     dial_backoff_base: float = 0.25
     dial_backoff_max: float = 5.0
     dial_backoff_jitter: float = 0.25
-    #: Consecutive dial failures before a member is suspected / declared
-    #: dead.  Keep-alive misses escalate through the same suspicion
-    #: state, so whichever signal fires first drives the transition.
-    suspect_after: int = 2
-    dead_after: int = 6
     #: Frames queued toward one peer before further sends are dropped
     #: and counted (``outbox_overflows``) instead of growing unbounded.
     outbox_limit: int = 1024
@@ -167,10 +188,6 @@ class LiveNodeConfig:
                 "dial_backoff_max must be >= dial_backoff_base")
         if self.dial_backoff_jitter < 0:
             raise ValueError("dial_backoff_jitter must be >= 0")
-        if self.suspect_after < 1:
-            raise ValueError("suspect_after must be >= 1")
-        if self.dead_after < self.suspect_after:
-            raise ValueError("dead_after must be >= suspect_after")
         if self.outbox_limit < 1:
             raise ValueError("outbox_limit must be >= 1")
 
@@ -181,6 +198,23 @@ def _hello_id(hello: dict) -> str:
     if not isinstance(peer_id, str) or not peer_id:
         raise WireError(f"hello frame without a valid id: {hello!r}")
     return peer_id
+
+
+def _rows(frame: dict) -> list:
+    """The peer-table rows a ``hello`` / ``peers`` frame carries, as
+    :func:`merge` takes them; ``WireError`` if any is malformed."""
+    rows = frame.get("peers")
+    if not isinstance(rows, dict) or not all(
+            peer and isinstance(row, list) and len(row) == 2
+            and type(row[0]) is int and row[0] >= 0
+            and row[1] in (ALIVE, SUSPECT, DEAD)
+            for peer, row in rows.items()):
+        raise WireError(f"malformed peer table: {rows!r}")
+    return [(peer, tuple(row)) for peer, row in rows.items()]
+
+
+def _show(row) -> str:
+    return "none" if row is None else f"{row[1]}@{row[0]}"
 
 
 class _PeerLink:
@@ -229,18 +263,13 @@ class _PeerLink:
 
 
 class _PeerHealth:
-    """Dial/liveness bookkeeping for one peer.
+    """Dial bookkeeping for one peer: consecutive failures (zeroed by any
+    contact), the pending backoff redial, and the grace timer a suspect
+    row arms."""
 
-    ``state`` walks ``alive -> suspect -> dead``; any received traffic
-    snaps it back to ``alive`` and zeroes the failure count.  The two
-    timer handles are the peer's pending backoff redial and (while
-    suspect) the grace deadline before it is declared dead.
-    """
-
-    __slots__ = ("state", "dial_failures", "retry_handle", "grace_handle")
+    __slots__ = ("dial_failures", "retry_handle", "grace_handle")
 
     def __init__(self):
-        self.state = "alive"
         self.dial_failures = 0
         self.retry_handle = None
         self.grace_handle = None
@@ -266,6 +295,10 @@ class LiveNode:
         self.node: Optional[CupNode] = None
         self.checker = None
         self.keepalive: Optional[KeepAliveMonitor] = None
+        #: The peer table, this node's own row included.
+        self.peers: Dict[str, Tuple[int, str]] = {}
+        #: The ids whose row is not dead, kept by ``_add_member`` /
+        #: ``_remove_member``.
         self.members: Set[str] = set()
         self._conns: Dict[str, _PeerLink] = {}
         #: Every open link, the losers of a simultaneous-dial race too
@@ -366,6 +399,7 @@ class LiveNode:
         )
         port = self._server.sockets[0].getsockname()[1]
         self.node_id = config.node_id or f"{config.host}:{port}"
+        self.peers[self.node_id] = (0, ALIVE)
         self.members.add(self.node_id)
         self.overlay.join(self.node_id)
         is_cup = config.mode == "cup"
@@ -394,10 +428,11 @@ class LiveNode:
             self.node.invariant_probe = self.checker
         self.keepalive = KeepAliveMonitor(
             self.clock, self.transport, self.node_id,
-            neighbors_fn=self._keepalive_targets,
+            neighbors_fn=lambda: self.overlay.neighbors(self.node_id),
             period=config.keepalive_period,
             miss_threshold=config.keepalive_misses,
-            on_suspect=self._on_suspect,
+            on_suspect=lambda _reporter, peer: self._verdict(
+                peer, SUSPECT, "keep-alive misses"),
         )
         self.node.keepalive_monitor = self.keepalive
         if config.state_dir is not None:
@@ -420,14 +455,12 @@ class LiveNode:
         for seed in config.peers:
             await self._join_via(seed)
         self._seeds.clear()
+        # Hello to every member a seed or the store named: ones that
+        # answer learn this node, ones that are gone fall to the
+        # backoff/suspicion machinery — membership reconverges either way.
+        for member in sorted(self.members - {self.node_id, *self._conns}):
+            self._ensure_link(member, probe=True)
         if self._rejoined:
-            # Best-effort re-hello toward every restored member: ones
-            # that answer re-learn us (rejoin hello), ones that are
-            # gone fall to the backoff/suspicion machinery and get
-            # evicted — membership reconverges either way.
-            for member in sorted(self.members):
-                if member != self.node_id and member not in self._conns:
-                    self._ensure_link(member, probe=True)
             self._reconcile_restored()
 
     async def _join_via(self, seed: str) -> None:
@@ -439,9 +472,7 @@ class LiveNode:
         # or the join deadline expires — a seed that is itself still
         # booting (or briefly down) should not fail the join outright.
         while True:
-            link = self._conns.get(seed)
-            if link is None:
-                link = await self._ensure_link(seed)
+            link = await self._ensure_link(seed)
             if link is not None:
                 break
             if loop.time() >= deadline:
@@ -457,7 +488,7 @@ class LiveNode:
             )
         except asyncio.TimeoutError:
             raise ConnectionError(
-                f"seed member {seed} sent no welcome within "
+                f"seed member {seed} sent no peer table within "
                 f"{_JOIN_TIMEOUT}s"
             ) from None
         self._log(f"joined via {seed}; members={sorted(self.members)}")
@@ -491,13 +522,12 @@ class LiveNode:
         node.authority_index = state.authority
         if node.recovery is not None and state.recovery is not None:
             node.recovery.import_state(state.recovery)
-        peers = 0
-        for member in state.members:
-            if member != self.node_id and self._add_member(member):
-                peers += 1
+        peers = self._merge(
+            [(member, (0, ALIVE)) for member in state.members
+             if member != self.node_id], "restored")
         self._rejoined = True
         self.metrics.state_restored_keys += kept
-        self._log(f"warm rejoin: restored {kept} keys and {peers} "
+        self._log(f"warm rejoin: restored {kept} keys and {len(peers)} "
                   f"peers from {self._store.path}")
 
     def _reconcile_restored(self) -> None:
@@ -545,9 +575,9 @@ class LiveNode:
         self._snapshot_state(base=True)
         for health in self._health.values():
             health.cancel_timers()
-        for link in list(self._conns.values()):
-            link.send_json({"t": "leaving", "id": self.node_id})
-        # One breath for the leaving frames to flush through the queues.
+        self._merge([(self.node_id, (self.peers[self.node_id][0], DEAD))],
+                    "graceful stop")
+        # One breath for that row to flush through the queues.
         await asyncio.sleep(0.05)
         # Every open link, not only the registry's: the loser of a
         # simultaneous dial still has a reader and a writer task.
@@ -568,28 +598,19 @@ class LiveNode:
     # Membership
     # ------------------------------------------------------------------
 
-    def _keepalive_targets(self):
-        return self.overlay.neighbors(self.node_id)
-
     def _wake_all_gets(self) -> None:
         # Any key's authority may have moved with the membership.
         for waiters in self._get_waiters.values():
             _wake(waiters)
 
-    def _add_member(self, member: str) -> bool:
+    def _add_member(self, member: str) -> None:
         if member in self.members:
-            return False
+            return
         self.members.add(member)
-        # A (re)joining member starts with a clean bill of health —
-        # stale suspicion from a previous incarnation must not linger.
-        stale = self._health.pop(member, None)
-        if stale is not None:
-            stale.cancel_timers()
         self.overlay.join(member)
         if self.checker is not None:
             self.checker.on_membership_change("join", member)
         self._wake_all_gets()
-        return True
 
     def _remove_member(self, member: str, reason: str) -> None:
         if member == self.node_id or member not in self.members:
@@ -608,11 +629,48 @@ class LiveNode:
             if link.reader_task is not None:
                 link.reader_task.cancel()
             link.close()
-        self._log(f"member {member} removed ({reason}); "
-                  f"members={sorted(self.members)}")
+
+    def _merge(self, rows, why: str,
+               origin: Optional[_PeerLink] = None) -> dict:
+        """Merge ``rows`` into the peer table: each row that changes it is
+        logged, takes effect, and is sent on every open link but
+        ``origin``'s.  Returns :func:`merge`'s changes."""
+        table, me = self.peers, self.node_id
+        changed = merge(table, rows)
+        if table[me][1] != ALIVE and not self._stopping:
+            # A row says this node is suspect or dead: out-rank it, and
+            # tell whoever sent it too.
+            table[me], origin = (table[me][0] + 1, ALIVE), None
+        for peer, old in changed.items():
+            incarnation, status = table[peer]
+            self._log(f"member {peer}: {_show(old)} -> "
+                      f"{_show(table[peer])} ({why})")
+            if peer == me:
+                continue
+            health = self._health.get(peer)
+            if health is not None and health.grace_handle is not None:
+                health.grace_handle.cancel()
+                health.grace_handle = None
+            if status == DEAD:
+                self._remove_member(peer, why)
+                continue
+            self._add_member(peer)
+            if status == SUSPECT:
+                self._health_of(peer).grace_handle = (
+                    self.clock.loop.call_later(
+                        self.config.keepalive_period
+                        * self.config.keepalive_misses, self._verdict,
+                        peer, DEAD, "suspicion grace expired", incarnation))
+        if changed:
+            frame = {"t": "peers",
+                     "peers": {peer: table[peer] for peer in changed}}
+            for link in list(self._conns.values()):
+                if link is not origin:
+                    link.send_json(frame)
+        return changed
 
     # ------------------------------------------------------------------
-    # Peer health (alive -> suspect -> dead)
+    # Peer health: detectors write rows, the merge decides
     # ------------------------------------------------------------------
 
     def _health_of(self, peer_id: str) -> _PeerHealth:
@@ -622,61 +680,28 @@ class LiveNode:
         return health
 
     def _peer_alive(self, peer_id: str) -> None:
-        """Any contact with the peer clears suspicion and backoff."""
+        """Any contact with the peer clears its failures and backoff."""
         health = self._health.get(peer_id)
         if health is None:
             return
         health.dial_failures = 0
-        health.cancel_timers()
-        if health.state != "alive":
-            self._log(f"member {peer_id} is back ({health.state} "
-                      "cleared)")
-            health.state = "alive"
+        if health.retry_handle is not None:
+            health.retry_handle.cancel()
+            health.retry_handle = None
 
-    def _on_suspect(self, _reporter, suspect) -> None:
-        # KeepAliveMonitor fires once per suspicion episode; a second
-        # firing means a probe re-armed it and the peer stayed silent.
-        health = self._health_of(suspect)
-        if health.state == "alive":
-            self._mark_suspect(suspect, "keep-alive misses")
-        elif health.state == "suspect":
-            self._declare_dead(suspect, "keep-alive misses while suspect")
-
-    def _mark_suspect(self, peer_id: str, why: str) -> None:
+    def _verdict(self, peer_id: str, status: str, why: str,
+                 incarnation: Optional[int] = None) -> None:
+        """A local detector's row about a member (at its current
+        incarnation unless given); counted when the merge takes it."""
         if self._stopping or peer_id not in self.members:
             return
-        health = self._health_of(peer_id)
-        if health.state != "alive":
-            return
-        health.state = "suspect"
-        self.metrics.peers_suspected += 1
-        self._log(f"member {peer_id} suspected ({why})")
-        # Probe immediately: a suspicion must resolve, not linger.
-        self._ensure_link(peer_id, probe=True)
-        if health.grace_handle is None:
-            grace = (self.config.keepalive_period
-                     * self.config.keepalive_misses)
-            health.grace_handle = self.clock.loop.call_later(
-                grace, self._suspect_grace_expired, peer_id
-            )
-
-    def _suspect_grace_expired(self, peer_id: str) -> None:
-        health = self._health.get(peer_id)
-        if health is None or health.state != "suspect":
-            return
-        health.grace_handle = None
-        self._declare_dead(peer_id, "suspicion grace expired")
-
-    def _declare_dead(self, peer_id: str, why: str) -> None:
-        if self._stopping or peer_id not in self.members:
-            return
-        health = self._health.get(peer_id)
-        if health is not None:
-            health.state = "dead"
-            health.cancel_timers()
-        self.metrics.peers_declared_dead += 1
-        self._log(f"member {peer_id} declared dead ({why})")
-        self._remove_member(peer_id, "crash")
+        if incarnation is None:
+            incarnation = self.peers.get(peer_id, (0, ALIVE))[0]
+        if self._merge([(peer_id, (incarnation, status))], why):
+            if status == SUSPECT:
+                self.metrics.peers_suspected += 1
+            else:
+                self.metrics.peers_declared_dead += 1
 
     # ------------------------------------------------------------------
     # Connections
@@ -690,7 +715,7 @@ class LiveNode:
         ``None`` synchronously for fire-and-forget callers.  While the
         peer is in backoff cooldown, plain callers get ``None`` — the
         pending redial owns the next attempt — and only ``probe=True``
-        callers (suspicion probes, client puts, joins) cut the cooldown
+        callers (redials, client puts, hellos at boot) cut the cooldown
         short and dial now.
         """
         link = self._conns.get(peer_id)
@@ -736,10 +761,8 @@ class LiveNode:
         self._peer_alive(peer_id)
         link = self._make_link(peer_id, writer)
         self._register_link(link)
-        hello = {"t": "hello", "id": self.node_id}
-        if self._rejoined:
-            hello["rejoin"] = True
-        link.send_json(hello)
+        link.send_json({"t": "hello", "id": self.node_id,
+                        "peers": self.peers})
         link.reader_task = asyncio.ensure_future(
             self._on_connection(reader, writer, link)
         )
@@ -768,15 +791,12 @@ class LiveNode:
         health.dial_failures += 1
         failures = health.dial_failures
         if peer_id in self.members:
-            if failures >= self.config.dead_after:
-                self._declare_dead(
-                    peer_id, f"{failures} consecutive dial failures"
-                )
-                return
-            if failures >= self.config.suspect_after:
-                self._mark_suspect(
-                    peer_id, f"{failures} consecutive dial failures"
-                )
+            if failures >= SUSPECT_AFTER:
+                self._verdict(peer_id,
+                              DEAD if failures >= DEAD_AFTER else SUSPECT,
+                              f"{failures} consecutive dial failures")
+                if peer_id not in self.members:
+                    return
         elif peer_id not in self._seeds:
             # Neither a member nor a seed being joined: nobody wants
             # this link anymore, so don't keep a retry alive for it.
@@ -823,7 +843,7 @@ class LiveNode:
                 self._ensure_link(link.peer_id)
 
     def _process_peer_frame(self, link: _PeerLink, frame: dict) -> None:
-        # Any frame from the peer proves life: clear suspicion/backoff.
+        # Any frame from the peer proves life: clear failures/backoff.
         self._peer_alive(link.peer_id)
         t = frame.get("t")
         if t == "msg" or t == "direct":
@@ -831,43 +851,14 @@ class LiveNode:
                 frame.get("src"), self.node_id,
                 message_from_wire(frame["m"]),
             )
-        elif t == "welcome":
-            for member in frame.get("members", ()):
-                if not isinstance(member, str) or member == self.node_id:
-                    continue
-                self._add_member(member)
-                if member not in self._conns and member not in self._dialing:
-                    self._ensure_link(member)
-            link.welcomed.set()
-        elif t == "joined":
-            member = frame.get("id")
-            if isinstance(member, str):
-                self._add_member(member)
-        elif t == "leaving":
-            member = frame.get("id")
-            if isinstance(member, str):
-                self._remove_member(member, "leave")
-        elif t == "hello":
-            # A re-hello on an established link: answer with the current
-            # member list (harmless, keeps the handshake idempotent).
-            self._welcome(link, _hello_id(frame), frame)
+        elif t == "hello" or t == "peers":
+            self._merge(_rows(frame), f"from {link.peer_id}", link)
+            if t == "hello":
+                link.send_json({"t": "peers", "peers": self.peers})
+            else:
+                link.welcomed.set()
         else:
             raise WireError(f"unknown peer frame type {t!r}")
-
-    def _welcome(self, link: _PeerLink, peer_id: str, hello: dict) -> None:
-        fresh = self._add_member(peer_id)
-        link.send_json({
-            "t": "welcome",
-            "id": self.node_id,
-            "members": sorted(self.members),
-        })
-        if fresh:
-            for other_id, other in list(self._conns.items()):
-                if other_id != peer_id:
-                    other.send_json({"t": "joined", "id": peer_id})
-            how = "rejoined warm" if hello.get("rejoin") else "joined"
-            self._log(f"member {peer_id} {how}; "
-                      f"members={sorted(self.members)}")
 
     # ------------------------------------------------------------------
     # Inbound connections (peers and clients share the listener)
@@ -893,11 +884,10 @@ class LiveNode:
                     if link is not None:
                         self._process_peer_frame(link, frame)
                     elif frame.get("t") == "hello":
-                        peer_id = _hello_id(frame)
-                        link = self._make_link(peer_id, writer)
+                        link = self._make_link(_hello_id(frame), writer)
                         link.reader_task = asyncio.current_task()
                         self._register_link(link)
-                        self._welcome(link, peer_id, frame)
+                        self._process_peer_frame(link, frame)
                     else:
                         stop_after = await self._handle_client_frame(
                             frame, writer
@@ -952,12 +942,16 @@ class LiveNode:
 
     async def _client_put(self, frame: dict) -> dict:
         key = frame["key"]
+        lifetime = frame.get("lifetime", 300.0)
+        if not _finite(lifetime) or lifetime <= 0:
+            return {"t": "error", "error": "lifetime must be a finite "
+                                           f"number > 0, got {lifetime!r}"}
         message = ReplicaMessage(
             event=ReplicaEvent(frame.get("event", "birth")),
             key=key,
             replica_id=frame["replica_id"],
             address=frame.get("address", ""),
-            lifetime=float(frame.get("lifetime", 300.0)),
+            lifetime=float(lifetime),
         )
         authority = self.overlay.authority(key)
         if authority != self.node_id:
@@ -977,11 +971,7 @@ class LiveNode:
     async def _client_get(self, frame: dict) -> dict:
         key = frame["key"]
         timeout = frame.get("timeout", 5.0)
-        if (isinstance(timeout, bool)
-                or not isinstance(timeout, (int, float))
-                or not math.isfinite(timeout) or timeout < 0):
-            # json.loads accepts NaN and Infinity, and neither ever
-            # reaches the deadline below.
+        if not _finite(timeout) or timeout < 0:
             return {"t": "error", "error": "timeout must be a finite "
                                            f"number >= 0, got {timeout!r}"}
         node = self.node
@@ -1072,9 +1062,10 @@ class LiveNode:
             ),
             "livenode": self.metrics.livenode_report(),
             "peers": {
-                peer: {"state": health.state,
-                       "dial_failures": health.dial_failures}
-                for peer, health in sorted(self._health.items())
+                peer: {"incarnation": incarnation, "status": status,
+                       "dial_failures": self._health[peer].dial_failures
+                       if peer in self._health else 0}
+                for peer, (incarnation, status) in sorted(self.peers.items())
             },
             "persistence": None if store is None else store.report(),
             "violations": (
@@ -1134,6 +1125,13 @@ class LiveNode:
         if not self.config.quiet:
             prefix = self.node_id or f"{self.config.host}:?"
             print(f"[{prefix}] {text}", flush=True)
+
+
+def _finite(value) -> bool:
+    """Whether a client's number is one: ``json.loads`` accepts ``NaN``
+    and ``Infinity``, and ``true`` is an ``int`` to Python."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _wake(waiters) -> None:

@@ -23,7 +23,7 @@ from repro.core.messages import (
 )
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import LiveClock
-from repro.net.daemon import LiveNode, LiveNodeConfig
+from repro.net.daemon import DEAD_AFTER, LiveNode, LiveNodeConfig
 from repro.net.seam import ClockSeam, RouterSeam
 from repro.net.transport import LiveTransport
 from repro.net.wire import FrameDecoder, encode_frame
@@ -422,10 +422,6 @@ def test_config_rejects_bad_resilience_knobs():
     with pytest.raises(ValueError):
         LiveNodeConfig(dial_backoff_base=2.0, dial_backoff_max=1.0)
     with pytest.raises(ValueError):
-        LiveNodeConfig(suspect_after=0)
-    with pytest.raises(ValueError):
-        LiveNodeConfig(suspect_after=4, dead_after=2)
-    with pytest.raises(ValueError):
         LiveNodeConfig(outbox_limit=0)
 
 
@@ -546,7 +542,7 @@ def test_unreachable_member_is_suspected_then_declared_dead():
         node._add_member(ghost)
         node._ensure_link(ghost, probe=True)
         await _poll(lambda: ghost not in node.members, timeout=20.0)
-        assert node.metrics.dial_failures >= node.config.dead_after
+        assert node.metrics.dial_failures >= DEAD_AFTER
         assert node.metrics.dial_retries >= 1
         assert node.metrics.peers_suspected >= 1
         assert node.metrics.peers_declared_dead >= 1
@@ -554,6 +550,82 @@ def test_unreachable_member_is_suspected_then_declared_dead():
 
     _run_cluster(1, scenario, dial_backoff_base=0.02,
                  dial_backoff_max=0.05, dial_backoff_jitter=0.0)
+
+
+def _one_sided_pair(overlay):
+    """A node and an overlay neighbour that does not count it as one."""
+    for node_id in overlay.node_ids():
+        for neighbor in overlay.neighbors(node_id):
+            if node_id not in overlay.neighbors(neighbor):
+                return node_id, neighbor
+    return None
+
+
+def test_an_idle_cluster_with_one_sided_neighbours_evicts_nobody():
+    # Keep-alives follow overlay neighbours, and Chord's are one-sided:
+    # X watches a finger Y that may never send to X.  X's suspicion row
+    # is the probe Y answers by refuting it, so an idle cluster holds.
+    period, misses = 0.2, 3
+    config = dict(quiet=True, keepalive_period=period,
+                  keepalive_misses=misses)
+
+    async def main():
+        nodes = [LiveNode(LiveNodeConfig(port=0, **config))]
+        await nodes[0].start()
+        try:
+            while (len(nodes) < 8
+                   and _one_sided_pair(nodes[0].overlay) is None):
+                nodes.append(LiveNode(LiveNodeConfig(
+                    port=0, peers=(nodes[0].node_id,), **config)))
+                await nodes[-1].start()
+            want = {node.node_id for node in nodes}
+            await _poll(lambda: all(node.members == want for node in nodes))
+            assert _one_sided_pair(nodes[0].overlay) is not None
+            # Suspicion comes after `misses` silent periods (one more at
+            # the tick's granularity) and death a grace of `misses` later.
+            window = period * (misses + 1) + period * misses
+            await asyncio.sleep(2 * window)
+            assert [node.metrics.peers_declared_dead for node in nodes] \
+                == [0] * len(nodes)
+            assert all(node.members == want for node in nodes)
+        finally:
+            await _stop_all(nodes)
+
+    asyncio.run(main())
+
+
+def test_a_stale_suspicion_cannot_evict_a_node_that_came_back():
+    period, misses = 0.5, 3
+    common = dict(quiet=True, keepalive_misses=misses)
+
+    async def main():
+        # X's backoff outlasts the test: nothing but Y's own frames can
+        # tell X that Y is back.
+        x = LiveNode(LiveNodeConfig(
+            port=0, keepalive_period=period, dial_backoff_base=30.0,
+            dial_backoff_max=30.0, **common))
+        await x.start()
+        y = LiveNode(LiveNodeConfig(
+            port=0, peers=(x.node_id,), keepalive_period=period, **common))
+        await y.start()
+        await _poll(lambda: x.members == {x.node_id, y.node_id})
+        await _hard_kill(y)
+        await _poll(lambda: x.metrics.peers_suspected >= 1, timeout=10.0)
+        # Back cold on the same port, too slow to send X a keep-alive
+        # before X's grace for the old suspicion runs out.
+        reborn = LiveNode(LiveNodeConfig(
+            port=int(y.node_id.rsplit(":", 1)[1]), peers=(x.node_id,),
+            keepalive_period=60.0, **common))
+        await reborn.start()
+        try:
+            await asyncio.sleep(period * misses + period)
+            assert x.metrics.peers_declared_dead == 0
+            assert reborn.node_id in x.members
+            assert reborn.node_id in x._conns
+        finally:
+            await _stop_all([x, reborn])
+
+    asyncio.run(main())
 
 
 def test_dial_backoff_gates_non_probe_callers():
@@ -857,6 +929,26 @@ def test_get_rejects_a_timeout_that_is_no_deadline(timeout):
         assert "timeout" in reply["error"]
         assert node.metrics.queries_posted == posted
         assert node._get_waiters == {}
+
+    _run_cluster(1, scenario)
+
+
+@pytest.mark.parametrize("lifetime", [-1, 0, float("nan"), float("inf"), True])
+def test_put_rejects_a_lifetime_that_is_no_lifetime(lifetime):
+    async def scenario(nodes):
+        node = nodes[0]
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: reported.append(context))
+        index = node.node.authority_index
+        reply = await _socket_request(
+            node, {"t": "put", "key": "put/bad", "replica_id": "r1",
+                   "lifetime": lifetime})
+        await asyncio.sleep(0.05)  # where a direct message would land
+        assert reply["t"] == "error"
+        assert "lifetime" in reply["error"]
+        assert index.entry_count() == 0 and not index.owns("put/bad")
+        assert reported == []
 
     _run_cluster(1, scenario)
 

@@ -12,6 +12,7 @@ of the live node would have held, field by field.
 """
 
 import asyncio
+import itertools
 import pickle
 
 from hypothesis import example, given, settings
@@ -103,11 +104,20 @@ async def run_ops(ops, state_root):
         **config))
     await second.start()
     nodes = [first, second]
-    names = (f"ref/k{i}" for i in range(10_000))
-    owned = {node.node_id: [] for node in nodes}
-    while min(map(len, owned.values())) < 3:
-        name = next(names)
-        owned[first.overlay.authority(name)].append(name)
+
+    def owned_by_each(prefix, count):
+        """At least ``count`` names per node whose authority it is."""
+        owned = {node.node_id: [] for node in nodes}
+        for i in itertools.count():
+            if min(map(len, owned.values())) >= count:
+                return owned
+            name = f"{prefix}{i}"
+            owned[first.overlay.authority(name)].append(name)
+
+    owned = owned_by_each("ref/k", 3)
+    # A ring of two random ports can hand one node nearly every name, so
+    # resident keys are picked per owner, like the keys the ops name.
+    ballast = owned_by_each("ballast/", 30)
 
     def key_of(role):
         owner, index = role
@@ -117,10 +127,11 @@ async def run_ops(ops, state_root):
     try:
         # Resident keys, so the base outweighs a test's worth of records
         # and every later tick appends (a base would hide a missed door).
-        for index in range(60):
-            await nodes[index % 2]._client_put({
-                "key": f"ballast/{index}", "replica_id": "r0",
-                "address": "addr", "lifetime": 300.0})
+        for node in nodes:
+            for key in ballast[node.node_id][:30]:
+                await node._client_put({
+                    "key": key, "replica_id": "r0",
+                    "address": "addr", "lifetime": 300.0})
         await asyncio.sleep(0.05)
         for node in nodes:
             check_tick(node)
