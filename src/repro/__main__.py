@@ -1,8 +1,7 @@
 """``python -m repro`` entry point.
 
-The ``__name__`` guard matters under ``--workers`` on spawn-based
-multiprocessing platforms, where worker bootstrap imports the main
-module: the CLI must only run in the parent process.
+The ``__name__`` guard keeps an import of this module from running the
+CLI.
 """
 
 import sys

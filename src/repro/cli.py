@@ -24,13 +24,14 @@ Sweep cells are independent simulations: ``--workers N`` fans them out
 across N processes, and each finished cell flushes at once to an
 on-disk run cache (``--cache-dir``, default ``.repro-cache/``) so
 repeated invocations — and killed sweeps — only pay for cells they have
-not seen.  ``--no-cache`` forces fresh runs.  The worker pool is
-supervised: ``--cell-timeout``, ``--max-retries`` and
-``--retry-backoff`` bound how long a hung or killed worker can hold a
-cell, and ``--report-json`` writes the per-cell source / attempts /
-wall-time table.  ``repro run macro --checkpoint`` snapshots the single
-long macro simulation periodically; ``--resume`` picks it up from the
-latest snapshot and finishes with byte-identical results.
+not seen.  ``--no-cache`` forces fresh runs.  Each parallel cell
+attempt is its own forked process: ``--cell-timeout`` kills an attempt
+that outlives its budget, ``--max-retries`` bounds how often a killed
+or dead attempt is re-run, and ``--report-json`` writes the per-cell
+source / attempts / wall-time table.  ``repro run macro --checkpoint``
+snapshots the single long macro simulation periodically; ``--resume``
+picks it up from the latest snapshot and finishes with byte-identical
+results.
 
 ``scenarios run`` with any of ``--loss`` / ``--duplicate`` / ``--jitter``
 above zero reruns the scenario over a seeded unreliable transport with
@@ -200,11 +201,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scale = experiments.resolve_scale(args.scale)
     if args.workers is not None:
         executor.configure(workers=args.workers)
-    executor.configure_supervision(executor.Supervision(
-        cell_timeout=args.cell_timeout,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
-    ))
+    try:
+        executor.default_workers()  # validates $REPRO_WORKERS
+        executor.configure_supervision(executor.Supervision(
+            cell_timeout=args.cell_timeout, max_retries=args.max_retries,
+        ))
+    except ValueError as err:
+        print(f"repro run: error: {err}", file=sys.stderr)
+        return 2
     if args.no_cache:
         cache = runcache.configure(enabled=False)
     elif args.cache_dir is not None:
@@ -287,7 +291,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         return 2
     # Profile actual simulation work: caches would reduce the profile to
-    # JSON parsing, worker pools would move the work out of this
+    # JSON parsing, worker processes would move the work out of this
     # process.
     from repro.experiments import executor, runcache
 
@@ -560,11 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
-        help="retries per cell after worker death or timeout (default 2)",
-    )
-    run_parser.add_argument(
-        "--retry-backoff", type=float, default=0.5, metavar="S",
-        help="base of the exponential retry backoff (default 0.5s)",
+        help="retries per cell after its process dies or times out "
+             "(default 2)",
     )
     run_parser.add_argument(
         "--report-json", default=None, metavar="PATH",

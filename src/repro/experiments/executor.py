@@ -8,27 +8,28 @@ declarative §3.7 fault schedule) and submit them in one batch to
 :func:`execute`, which:
 
 1. deduplicates cells that resolve to the same run key (shared
-   standard-caching twins are computed once, not once per worker);
+   standard-caching twins are computed once, not once per process);
 2. serves whatever it can from the in-process memo and the persistent
    disk cache (:mod:`repro.experiments.runcache`);
-3. fans the remaining cells out across a *supervised* worker pool
-   (``workers=1`` falls back to a plain serial loop in-process);
+3. runs each remaining cell attempt in its own forked process, at most
+   ``workers`` at once (``workers=1`` or a single pending cell runs
+   in-process);
 4. flushes every fresh result into both cache layers **as it
    completes**, so an aborted sweep keeps its finished cells and a
    rerun re-runs only unfinished work;
 5. returns ``{label: MetricsSummary}`` with deterministic content —
-   results are keyed, so worker scheduling order can never leak into
+   results are keyed, so process scheduling order can never leak into
    tables.
 
 Supervision (:class:`Supervision`) is what lets a sweep outlive a
-hostile machine: each in-flight cell is watched for worker death
-(SIGKILL, OOM — the process vanishes and is respawned) and for
-wall-clock hangs (``cell_timeout``); victims are retried with bounded
-exponential backoff, and only when retries exhaust is the cell marked
-failed — the rest of the batch still completes, and the failures
-surface together as a :class:`SweepError`.  A test-only fault injector
-(:class:`WorkerFault`) drives crash/hang drills through the exact
-production path, the way ``LinkFaults`` drives the protocol tests.
+hostile machine: an attempt whose result pipe closes without a result
+died (SIGKILL, OOM), and one that outlives ``cell_timeout`` is killed;
+either is retried at once, and only when retries exhaust is the cell
+marked failed — the rest of the batch still completes, and the failures
+surface together as a :class:`SweepError`.  No child outlives
+:func:`execute`, whether it returns or raises.  A test-only fault
+injector (:class:`WorkerFault`) drives crash/hang drills through the
+exact production path, the way ``LinkFaults`` drives the protocol tests.
 
 Worker-count resolution: explicit ``workers=`` argument >
 :func:`configure` (the CLI's ``--workers``) > ``$REPRO_WORKERS`` > 1.
@@ -36,16 +37,14 @@ Worker-count resolution: explicit ``workers=`` argument >
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import dataclasses
-import heapq
-import itertools
+import math
 import multiprocessing
 import os
 import signal
 import time
 from collections import deque
+from multiprocessing.connection import wait
 from typing import (
     Dict,
     Hashable,
@@ -203,13 +202,16 @@ def configure(workers: Optional[int]) -> None:
 
 
 def default_workers() -> int:
-    """Configured worker count > ``$REPRO_WORKERS`` > 1 (serial)."""
+    """Configured worker count > ``$REPRO_WORKERS`` > 1 (serial).
+
+    Raises ``ValueError`` when ``$REPRO_WORKERS`` is not an integer >= 1.
+    """
     if _workers is not None:
         return _workers
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+    text = os.environ.get(WORKERS_ENV, "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {text!r}")
+    return int(text)
 
 
 # ----------------------------------------------------------------------
@@ -222,14 +224,14 @@ WORKER_FAULT_KINDS = ("sigkill", "hang")
 
 @dataclasses.dataclass(frozen=True)
 class WorkerFault:
-    """Test-only fault injected into a worker *before* it runs a cell.
+    """Test-only fault injected into an attempt *before* it runs a cell.
 
-    ``sigkill`` makes the worker kill itself with ``SIGKILL`` (the
+    ``sigkill`` makes the attempt kill itself with ``SIGKILL`` (the
     process vanishes without cleanup — indistinguishable from the OOM
     killer); ``hang`` makes it sleep forever (indistinguishable from a
     livelocked cell).  The fault fires on the cell's first ``times``
     attempts and then stands down, so retry paths can be exercised
-    end-to-end.  Faults ride along with the dispatched task — they are
+    end-to-end.  Faults ride along with the forked attempt — they are
     not part of the :class:`Cell` and can never leak into cache keys.
     """
 
@@ -248,37 +250,28 @@ class WorkerFault:
 
 @dataclasses.dataclass(frozen=True)
 class Supervision:
-    """Retry/timeout policy for the supervised worker pool.
+    """Retry/timeout policy for parallel cell attempts.
 
-    ``cell_timeout`` is the per-attempt wall-clock budget (``None``
-    disables hang detection); a cell that dies or times out is retried
-    up to ``max_retries`` more times, waiting
-    ``retry_backoff * 2**(attempt-1)`` seconds before each retry.
-    ``poll_interval`` is how often the supervisor wakes when nothing is
-    happening.
+    ``cell_timeout`` is the per-attempt wall-clock budget in seconds, a
+    finite number > 0 (``None`` disables hang detection); a cell whose
+    attempt dies or times out is retried at once, up to ``max_retries``
+    more times.
     """
 
     cell_timeout: Optional[float] = None
     max_retries: int = 2
-    retry_backoff: float = 0.5
-    poll_interval: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
+        if self.cell_timeout is not None and not (
+            math.isfinite(self.cell_timeout) and self.cell_timeout > 0
+        ):
             raise ValueError(
-                f"cell_timeout must be positive, got {self.cell_timeout}"
+                "cell_timeout must be a finite number > 0, got "
+                f"{self.cell_timeout}"
             )
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.poll_interval <= 0:
-            raise ValueError(
-                f"poll_interval must be positive, got {self.poll_interval}"
             )
 
 
@@ -357,274 +350,124 @@ def drain_report() -> List[CellReport]:
 
 
 # ----------------------------------------------------------------------
-# Batch execution
+# One forked process per cell attempt
 # ----------------------------------------------------------------------
 
-CellsInput = Union[Iterable[Cell], Mapping[Hashable, CupConfig]]
-
-# ----------------------------------------------------------------------
-# Supervised persistent worker pool
-# ----------------------------------------------------------------------
-#
-# A sweep is often submitted as several execute() batches (one per table
-# row, or one per harness in a CLI `run all`).  Tearing the pool down
-# between batches would discard every worker's warm state — imported
-# modules and, above all, the per-process topology snapshot cache — so
-# the pool persists across calls and is only rebuilt when the requested
-# worker count changes.
-#
-# The pool is hand-rolled rather than multiprocessing.Pool because Pool
-# cannot survive a worker dying mid-task: it respawns the process, but
-# the in-flight imap_unordered item never completes and the sweep hangs
-# forever.  Here each worker owns a dedicated task pipe and posts
-# results on a shared queue, so the supervisor can detect death
-# (is_alive) and hangs (wall-clock timeout), replace the worker, and
-# retry or fail just that cell.
+# Pinned, not left to the platform default: an attempt is cheap only as a
+# fork that inherits the parent's imports, and Python 3.14 makes
+# forkserver the Linux default.
+_FORK = multiprocessing.get_context("fork")
 
 
-def _worker_main(tasks, results) -> None:
-    """Worker loop: receive ``(token, cell, fault)``, post the outcome.
+def _attempt(cell: Cell, fault: Optional[WorkerFault], conn) -> None:
+    """Child process body: run one attempt, send ``(ok, payload)``, exit.
 
-    Runs in the child process.  A ``None`` task — or the parent closing
-    the pipe — is the shutdown signal.  Exceptions from the cell itself
-    are posted back as failures (they are deterministic; retrying them
-    would find the same bug), so only process death and hangs are
-    retried by the supervisor.
+    Exceptions from the cell itself are posted back as failures (they
+    are deterministic; retrying them would find the same bug), so only
+    process death and hangs are retried by the supervisor.
     """
-    while True:
-        try:
-            task = tasks.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        token, cell, fault = task
-        if fault is not None:
-            if fault.kind == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            while True:  # hang
-                time.sleep(3600.0)
-        try:
-            summary = run_cell(cell)
-        except Exception as exc:
-            results.put((token, False, f"{type(exc).__name__}: {exc}"))
-        else:
-            results.put((token, True, summary))
+    if fault is not None:
+        if fault.kind == "sigkill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        while True:  # hang
+            time.sleep(3600.0)
+    try:
+        outcome = (True, run_cell(cell))
+    except Exception as exc:
+        outcome = (False, f"{type(exc).__name__}: {exc}")
+    conn.send(outcome)
 
 
-class _Worker:
-    __slots__ = ("process", "conn", "token", "key", "cell", "started")
+def _run_forked(items, processes, supervision, faults, settle):
+    """Run ``items`` (``[(key, cell)]``), one forked process per attempt.
 
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-        self.token: Optional[int] = None  # None = idle
-        self.key: Optional[tuple] = None
-        self.cell: Optional[Cell] = None
-        self.started = 0.0
-
-
-class _WorkerPool:
-    """Fixed-size pool of supervised worker processes."""
-
-    def __init__(self, processes: int):
-        self.processes = processes
-        self._ctx = multiprocessing.get_context()
-        self._results = self._ctx.SimpleQueue()
-        # Tokens are unique for the pool's lifetime, so a result posted
-        # by a worker we have since given up on (timed out, superseded)
-        # can never be mistaken for a live attempt — stale tokens are
-        # simply not in the in-flight table and get dropped.
-        self._tokens = itertools.count()
-        self._workers = [self._spawn() for _ in range(processes)]
-
-    # -- process lifecycle ---------------------------------------------
-
-    def _spawn(self) -> _Worker:
-        recv_end, send_end = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(recv_end, self._results),
-            daemon=True,
-        )
-        process.start()
-        recv_end.close()  # child keeps its copy; parent only sends
-        return _Worker(process, send_end)
-
-    def _retire(self, worker: _Worker) -> None:
-        with contextlib.suppress(OSError):
-            worker.conn.close()
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join()
-
-    def _replace(self, worker: _Worker) -> None:
-        self._retire(worker)
-        fresh = self._spawn()
-        worker.process = fresh.process
-        worker.conn = fresh.conn
-        worker.token = None
-        worker.key = None
-        worker.cell = None
-
-    def shutdown(self) -> None:
-        """Terminate AND join every worker — no leaked processes."""
-        for worker in self._workers:
-            self._retire(worker)
-        self._workers = []
-
-    # -- supervised batch ----------------------------------------------
-
-    def run_batch(self, items, supervision, faults, settle):
-        """Run ``items`` (``[(key, cell)]``) under supervision.
-
-        ``faults`` maps key to a :class:`WorkerFault`; ``settle(key,
-        summary)`` is called as each cell completes.  Returns
-        ``(failures, stats)``: key -> reason for cells whose retries
-        exhausted, and key -> (attempts, wall_seconds) for every cell.
-        """
-        ready = deque(items)
-        attempts = {key: 0 for key, _ in items}
-        wall = {key: 0.0 for key, _ in items}
-        # Retry heap entries carry a counter tiebreak: cell keys mix
-        # None/str/float and would TypeError under tuple comparison.
-        retries: list = []
-        tiebreak = itertools.count()
-        inflight: Dict[int, _Worker] = {}
-        failures: Dict[tuple, str] = {}
-        outstanding = len(items)
-
-        while outstanding:
-            progressed = False
-            now = time.monotonic()
-
-            # Promote retries whose backoff has elapsed.
-            while retries and retries[0][0] <= now:
-                _, _, key, cell = heapq.heappop(retries)
-                ready.append((key, cell))
-
-            # Hand ready cells to idle workers.
-            for worker in self._workers:
-                if not ready:
-                    break
-                if worker.token is not None:
-                    continue
-                key, cell = ready[0]
-                token = next(self._tokens)
+    At most ``processes`` attempts are alive at once.  Each attempt owns
+    a one-way result pipe, and the supervisor sleeps in ``wait()`` on
+    those pipes until one is readable or the earliest deadline passes:
+    a pipe at EOF without a result is a dead attempt, an attempt past
+    ``cell_timeout`` is killed, and either is re-queued at once until
+    its retries run out.  ``faults`` maps key to a :class:`WorkerFault`;
+    ``settle(key, summary)`` is called as each cell completes.  Returns
+    ``(failures, stats)``: key -> reason for cells that failed, and key
+    -> (attempts, wall_seconds) for every cell.
+    """
+    queue = deque(items)
+    attempts = {key: 0 for key, _ in items}
+    wall = {key: 0.0 for key, _ in items}
+    failures: Dict[tuple, str] = {}
+    running: Dict[object, tuple] = {}  # pipe -> (process, key, cell, t0)
+    timeout = supervision.cell_timeout
+    try:
+        while queue or running:
+            while queue and len(running) < processes:
+                key, cell = queue.popleft()
                 fault = faults.get(key)
                 if fault is not None and attempts[key] >= fault.times:
                     fault = None  # fault already fired its quota
-                try:
-                    worker.conn.send((token, cell, fault))
-                except (OSError, BrokenPipeError):
-                    # Worker died while idle; replace it and re-offer
-                    # the cell on the next pass.
-                    self._replace(worker)
-                    progressed = True
-                    continue
-                ready.popleft()
                 attempts[key] += 1
-                worker.token = token
-                worker.key = key
-                worker.cell = cell
-                worker.started = time.monotonic()
-                inflight[token] = worker
-
-            # Drain completions.
-            while not self._results.empty():
-                token, ok, payload = self._results.get()
-                worker = inflight.pop(token, None)
-                if worker is None:
-                    continue  # stale: attempt was superseded
-                key = worker.key
-                wall[key] += time.monotonic() - worker.started
-                worker.token = None
-                worker.key = None
-                worker.cell = None
-                progressed = True
-                outstanding -= 1
-                if ok:
-                    settle(key, payload)
-                else:
-                    failures[key] = payload
-
-            # Supervise busy workers: death and hangs.
-            now = time.monotonic()
-            for worker in self._workers:
-                if worker.token is None:
-                    continue
-                died = not worker.process.is_alive()
-                timeout = supervision.cell_timeout
-                hung = (
-                    timeout is not None
-                    and now - worker.started > timeout
+                recv_end, send_end = _FORK.Pipe(duplex=False)
+                process = _FORK.Process(
+                    target=_attempt, args=(cell, fault, send_end),
+                    daemon=True,
                 )
-                if not (died or hung):
+                process.start()
+                send_end.close()  # EOF on recv_end now means the child died
+                running[recv_end] = (process, key, cell, time.monotonic())
+            budget = None
+            if timeout is not None:
+                first = min(started for *_, started in running.values())
+                budget = max(0.0, first + timeout - time.monotonic())
+            ready = wait(list(running), timeout=budget)
+            now = time.monotonic()
+            for conn, (process, key, cell, started) in list(running.items()):
+                hung = conn not in ready
+                if hung and (timeout is None or now - started < timeout):
                     continue
-                progressed = True
-                key, cell = worker.key, worker.cell
-                wall[key] += now - worker.started
-                inflight.pop(worker.token, None)
-                if died:
-                    reason = (
-                        "worker died mid-cell "
-                        f"(exitcode {worker.process.exitcode})"
-                    )
+                del running[conn]
+                outcome = None
+                if hung:
+                    process.kill()
                 else:
-                    reason = (
-                        f"cell exceeded {timeout:g}s wall-clock timeout"
-                    )
-                self._replace(worker)
+                    try:
+                        outcome = conn.recv()
+                    except EOFError:  # the child died without a result
+                        pass
+                conn.close()
+                process.join()
+                wall[key] += now - started
+                if outcome is not None:
+                    ok, payload = outcome
+                    if ok:
+                        settle(key, payload)
+                    else:
+                        failures[key] = payload
+                    continue
+                reason = (
+                    f"cell exceeded {timeout:g}s wall-clock timeout" if hung
+                    else f"worker died mid-cell (exitcode {process.exitcode})"
+                )
                 if attempts[key] > supervision.max_retries:
                     failures[key] = (
                         f"{reason}; retries exhausted after "
                         f"{attempts[key]} attempt(s)"
                     )
-                    outstanding -= 1
                 else:
-                    delay = supervision.retry_backoff * (
-                        2 ** (attempts[key] - 1)
-                    )
-                    heapq.heappush(
-                        retries, (now + delay, next(tiebreak), key, cell)
-                    )
-
-            if not progressed:
-                time.sleep(supervision.poll_interval)
-
-        stats = {key: (attempts[key], wall[key]) for key, _ in items}
-        return failures, stats
+                    queue.append((key, cell))
+    finally:
+        # Ctrl-C or any other exception: leave no child behind.
+        for conn, (process, *_) in running.items():
+            process.kill()
+            process.join()
+            conn.close()
+    stats = {key: (attempts[key], wall[key]) for key, _ in items}
+    return failures, stats
 
 
-_pool: Optional[_WorkerPool] = None
-_pool_processes = 0
+# ----------------------------------------------------------------------
+# Batch execution
+# ----------------------------------------------------------------------
 
-
-def _get_pool(processes: int) -> _WorkerPool:
-    global _pool, _pool_processes
-    if _pool is not None and _pool_processes != processes:
-        shutdown_pool()
-    if _pool is None:
-        _pool = _WorkerPool(processes)
-        _pool_processes = processes
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Terminate *and join* the persistent worker pool.
-
-    Joining matters: on a KeyboardInterrupt mid-sweep this is what
-    guarantees no orphaned workers keep burning CPU after the parent
-    returns to the prompt.
-    """
-    global _pool, _pool_processes
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
-        _pool_processes = 0
-
-
-atexit.register(shutdown_pool)
+CellsInput = Union[Iterable[Cell], Mapping[Hashable, CupConfig]]
 
 
 def _normalize(cells: CellsInput) -> List[Cell]:
@@ -638,11 +481,6 @@ def _normalize(cells: CellsInput) -> List[Cell]:
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate cell labels in batch")
     return normalized
-
-
-def _run_keyed(item: Tuple[tuple, Cell]) -> Tuple[tuple, MetricsSummary]:
-    key, cell = item
-    return key, run_cell(cell)
 
 
 def execute(
@@ -724,25 +562,14 @@ def execute(
                 for label, fault in faults_by_label.items()
                 if keys[label] in pending
             }
-            # The persistent pool is sized by the requested worker count
-            # (not the batch): a sweep's batches reuse the same workers
-            # and their warm topology snapshots.
-            pool = _get_pool(count)
-            try:
-                failures_by_key, stats = pool.run_batch(
-                    items, policy, faults_by_key, settle
-                )
-            except BaseException:
-                # A hard abort (KeyboardInterrupt above all) must not
-                # leak workers: tear the whole pool down — terminate
-                # and join — before propagating.
-                shutdown_pool()
-                raise
+            failures_by_key, stats = _run_forked(
+                items, count, policy, faults_by_key, settle
+            )
         else:
-            for item in items:
+            for key, cell in items:
                 started = time.monotonic()
-                settle(*_run_keyed(item))
-                stats[item[0]] = (1, time.monotonic() - started)
+                settle(key, run_cell(cell))
+                stats[key] = (1, time.monotonic() - started)
 
     report: List[CellReport] = []
     results: Dict[Hashable, MetricsSummary] = {}

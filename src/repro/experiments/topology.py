@@ -14,9 +14,11 @@ overlay object produce byte-identical results (the fast-path property
 suite referees the memos against the reference algorithms, and the
 snapshot-reuse tests referee whole-run summaries).  So the executor
 leases one built overlay per distinct topology from this cache and
-passes it to ``CupNetwork(config, topology=...)``; each worker process
-then pays the build (and the route-memo warm-up) once per topology
-instead of once per cell.
+passes it to ``CupNetwork(config, topology=...)``; a serial sweep then
+pays the build (and the route-memo warm-up) once per topology instead
+of once per cell.  A forked cell attempt inherits what the parent's
+cache holds and discards what it adds, so under ``--workers`` a
+topology the parent has not built costs one build per attempt.
 
 Safety: a leased snapshot must never change membership.  ``CupNetwork``
 guards its churn entry points when built from a snapshot, and the

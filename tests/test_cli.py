@@ -60,7 +60,6 @@ class TestSupervisedRun:
         yield
         executor.configure(None)
         executor.configure_supervision(None)
-        executor.shutdown_pool()
 
     def test_report_json_then_resume_from_disk(self, tmp_path, capsys):
         from repro.experiments.runner import clear_cache
@@ -90,6 +89,26 @@ class TestSupervisedRun:
         assert all(row["source"] == "disk" for row in again)
         assert ", 0 misses, 0 stored" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cell-timeout", "-1"),
+        ("--cell-timeout", "0"),
+        ("--cell-timeout", "nan"),
+        ("--cell-timeout", "inf"),
+        ("--max-retries", "-1"),
+    ])
+    def test_supervision_flags_are_usage_errors(self, flag, value, capsys):
+        assert main(["run", "fig5", "--scale", "tiny", flag, value]) == 2
+        field = flag[2:].replace("-", "_")
+        assert f"repro run: error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_workers_env_is_a_usage_error(
+        self, value, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        assert main(["run", "fig5", "--scale", "tiny", "--no-cache"]) == 2
+        assert "REPRO_WORKERS must be >= 1" in capsys.readouterr().err
+
     def test_flags_reach_the_pool_and_failures_are_reported(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -115,7 +134,7 @@ class TestSupervisedRun:
         status = main([
             "run", "fig5", "--scale", "tiny", "--no-cache",
             "--workers", "2", "--max-retries", "1",
-            "--retry-backoff", "0.01", "--report-json", str(report),
+            "--report-json", str(report),
         ])
         out = capsys.readouterr().out
         assert status == 1

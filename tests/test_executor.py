@@ -312,9 +312,11 @@ class TestWorkerConfiguration:
         executor.configure(None)
         assert executor.default_workers() == 7
 
-    def test_invalid_env_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv(executor.WORKERS_ENV, "many")
-        assert executor.default_workers() == 1
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_invalid_env_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(executor.WORKERS_ENV, value)
+        with pytest.raises(ValueError, match=executor.WORKERS_ENV):
+            executor.default_workers()
 
     def test_configure_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,15 @@
 """Supervised sweep executor: crashes, hangs, retries, resume.
 
-Drives the production worker pool through injected faults
-(:class:`WorkerFault`): workers that SIGKILL themselves mid-batch,
-workers that hang past the per-cell wall-clock budget, and faults that
-outlast the retry budget.  The sweep must survive all of them — replace
-the worker, retry with backoff, keep the rest of the batch flowing —
-and a rerun after a failure must serve the survivors from the cache.
+Drives the production per-attempt processes through injected faults
+(:class:`WorkerFault`): attempts that SIGKILL themselves mid-batch,
+attempts that hang past the per-cell wall-clock budget, and faults that
+outlast the retry budget.  The sweep must survive all of them — retry
+the cell in a fresh process, keep the rest of the batch flowing — and a
+rerun after a failure must serve the survivors from the cache.  No
+child process may outlive ``execute``, however it ends.
 """
 
 import multiprocessing
-import time
 
 import pytest
 
@@ -39,7 +39,7 @@ def batch(n=4):
     return [Cell(f"c{i}", tiny_config(seed=5 + i)) for i in range(n)]
 
 
-FAST = Supervision(cell_timeout=60.0, max_retries=2, retry_backoff=0.05)
+FAST = Supervision(cell_timeout=60.0, max_retries=2)
 
 
 @pytest.fixture(autouse=True)
@@ -67,9 +67,9 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             Supervision(max_retries=-1)
         with pytest.raises(ValueError):
-            Supervision(retry_backoff=-0.1)
+            Supervision(cell_timeout=float("nan"))
         with pytest.raises(ValueError):
-            Supervision(poll_interval=0.0)
+            Supervision(cell_timeout=float("inf"))
 
     def test_faults_must_name_batch_labels(self):
         with pytest.raises(ValueError, match="not in the batch"):
@@ -103,9 +103,7 @@ class TestCrashRecovery:
 
     def test_hung_worker_times_out_and_cell_retries(self):
         cells = batch()
-        sup = Supervision(
-            cell_timeout=1.0, max_retries=2, retry_backoff=0.05
-        )
+        sup = Supervision(cell_timeout=1.0, max_retries=2)
         results = execute(
             cells, workers=2, use_cache=False, supervision=sup,
             worker_faults={"c2": WorkerFault("hang", times=1)},
@@ -160,9 +158,7 @@ class TestRetryExhaustion:
         assert sorted(report[c] for c in ("c0", "c1", "c2")) == ["disk"] * 3
 
     def test_exhaustion_reason_mentions_timeout_for_hangs(self):
-        sup = Supervision(
-            cell_timeout=0.5, max_retries=0, retry_backoff=0.05
-        )
+        sup = Supervision(cell_timeout=0.5, max_retries=0)
         with pytest.raises(SweepError) as excinfo:
             execute(
                 batch(2), workers=2, use_cache=False, supervision=sup,
@@ -172,26 +168,29 @@ class TestRetryExhaustion:
 
 
 class TestPoolHygiene:
-    def test_shutdown_pool_leaves_no_live_children(self):
+    def test_no_child_outlives_execute(self, monkeypatch):
         execute(batch(), workers=2, use_cache=False, supervision=FAST)
-        assert executor._pool is not None
-        executor.shutdown_pool()
-        assert executor._pool is None
-        deadline = time.monotonic() + 5.0
-        while multiprocessing.active_children():
-            assert time.monotonic() < deadline, "workers leaked"
-            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
-    def test_pool_persists_across_supervised_batches(self):
-        execute(batch(2), workers=2, use_cache=False, supervision=FAST)
-        pool = executor._pool
-        execute(
-            batch(3), workers=2, use_cache=False, supervision=FAST,
-            worker_faults={"c1": WorkerFault("sigkill", times=1)},
-        )
-        # Same pool object even after a crash mid-batch; only the dead
-        # worker was replaced.
-        assert executor._pool is pool
+        with pytest.raises(SweepError):
+            execute(
+                batch(3), workers=2, use_cache=False, supervision=FAST,
+                worker_faults={"c1": WorkerFault("sigkill", times=10)},
+            )
+        assert multiprocessing.active_children() == []
+
+        # A KeyboardInterrupt from the cache flush while another attempt
+        # hangs: the hung child must be killed and joined on the way out.
+        def interrupt(key, summary):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(executor, "memo_put", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            execute(
+                batch(2), workers=2, supervision=FAST,
+                worker_faults={"c0": WorkerFault("hang", times=5)},
+            )
+        assert multiprocessing.active_children() == []
 
     def test_serial_path_ignores_faults_and_reports(self):
         results = execute(batch(2), workers=1, use_cache=False)

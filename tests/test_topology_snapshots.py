@@ -130,21 +130,3 @@ class TestExecutorIntegration:
         via_executor = executor.execute(cells, workers=1, use_cache=False)
         assert via_executor["a"] == CupNetwork(config).run()
         assert via_executor["b"] == CupNetwork(config.variant(seed=10)).run()
-
-    def test_parallel_pool_persists_across_batches(self):
-        config = _config()
-        first = executor.execute(
-            [Cell("a", config), Cell("b", config.variant(seed=10))],
-            workers=2, use_cache=False,
-        )
-        pool = executor._pool
-        assert pool is not None
-        second = executor.execute(
-            [Cell("c", config.variant(seed=11)),
-             Cell("d", config.variant(seed=12))],
-            workers=2, use_cache=False,
-        )
-        assert executor._pool is pool  # same workers, warm snapshots
-        assert set(first) == {"a", "b"} and set(second) == {"c", "d"}
-        executor.shutdown_pool()
-        assert executor._pool is None
