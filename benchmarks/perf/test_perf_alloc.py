@@ -40,12 +40,12 @@ def _fanout_network(children: int):
     authority = net.overlay.authority(key)
     node = net.nodes[authority]
     state = node.cache.get_or_create(key)
-    state.interest = {
+    interest = {
         node_id for node_id in list(net.nodes) if node_id != authority
     }
-    while len(state.interest) > children:
-        state.interest.pop()
-    state._interest_sorted = None
+    while len(interest) > children:
+        interest.pop()
+    state.interest = tuple(sorted(interest, key=str))
     return net, node, state, key
 
 

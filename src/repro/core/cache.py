@@ -7,7 +7,8 @@ seen, it keeps:
   index directory — authority-owned entries live in
   :class:`repro.replicas.authority.AuthorityIndex`);
 * a Pending-First-Update flag that coalesces query bursts;
-* an interest bit vector — here a set of neighbor ids — recording which
+* an interest bit vector — here a tuple of neighbor ids, sorted by
+  ``str`` so it is the update fan-out order itself — recording which
   neighbors want updates;
 * the number of open local client connections awaiting an answer;
 * a popularity measure (queries since the last cut-off-relevant update);
@@ -24,8 +25,8 @@ module touches the transport.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import (
-    AbstractSet,
     Any,
     Dict,
     Iterator,
@@ -38,17 +39,29 @@ from typing import (
 from repro.core.entry import IndexEntry
 from repro.sim.network import NodeId
 
-#: What ``interest`` / ``waiting`` and ``justification_deadlines`` hold
-#: while they hold nothing.  Most key states never gain a subscriber (a
-#: leaf has nobody below it) and owe no justification most of the time,
-#: so three private containers would be the bulk of what an idle key
-#: costs (an empty ``set`` is 216 B, a ``deque`` 760 B, the rest of a
-#: fresh state about 300 B).  One immutable empty is shared instead: the
-#: first add swaps in a private ``set`` / ``list`` and clearing swaps
-#: the empty back.  Always test these attributes by truth, never by
-#: identity: a pickled state restores with empties of its own.
-NO_NEIGHBORS: AbstractSet[NodeId] = frozenset()
+#: What ``interest`` / ``waiting`` hold while they hold nothing.  Both
+#: are immutable tuples kept sorted by ``str`` — the deterministic
+#: fan-out order — so every change binds a new tuple, and an empty one
+#: is the empty tuple: no private container to share.
+NO_NEIGHBORS: tuple = ()
+
+#: What ``justification_deadlines`` holds while it holds nothing.  A
+#: key owes no justification most of the time, so a private list per
+#: key would be the bulk of what an idle key costs.  One immutable empty
+#: is shared instead: the first add swaps in a private ``list`` and
+#: settling swaps the empty back.  Always test this attribute by truth,
+#: never by identity: a pickled state restores with an empty of its own.
 NO_DEADLINES: Sequence[float] = ()
+
+
+def with_neighbor(neighbors: tuple, neighbor: NodeId) -> tuple:
+    """``neighbors`` (``str``-sorted, no duplicates) plus ``neighbor``."""
+    if not neighbors:
+        return (neighbor,)
+    if neighbor in neighbors:
+        return neighbors
+    at = bisect_left(neighbors, str(neighbor), key=str)
+    return neighbors[:at] + (neighbor,) + neighbors[at:]
 
 
 class _EmptyDict(dict):
@@ -69,12 +82,12 @@ class _EmptyDict(dict):
     __setitem__ = setdefault = update = __ior__ = _refuse
 
 
-#: The same rule one level up, for the dicts a *node* owns: channel
-#: queues, the authority directory, refresh buffers.  Only a
-#: rate-limited, authority or aggregating node ever fills them, so every
-#: node starts on this one empty and binds a private ``dict`` at the one
-#: place each attribute is first written — tested by truth there, for
-#: the reason above.
+#: The rule of ``NO_DEADLINES`` one level up, for the dicts a *node*
+#: owns: channel queues, the authority directory, refresh buffers.  Only
+#: a rate-limited, authority or aggregating node ever fills them, so
+#: every node starts on this one empty and binds a private ``dict`` at
+#: the one place each attribute is first written — tested by truth
+#: there, for the reason above.
 NO_ITEMS: Dict[Any, Any] = _EmptyDict()
 
 
@@ -100,7 +113,6 @@ class KeyState:
         "designated_replica",
         "clear_bit_sent",
         "justification_deadlines",
-        "_interest_sorted",
         "min_expires",
         "max_expires",
     )
@@ -115,13 +127,15 @@ class KeyState:
         self.entries: Dict[str, IndexEntry] = {}
         self.pending_first_update = False
         self.pending_since = 0.0
-        self.interest: AbstractSet[NodeId] = NO_NEIGHBORS
+        # Interested neighbors, str-sorted: the fan-out order itself.
+        self.interest: tuple = NO_NEIGHBORS
         # Neighbors owed a first-time response: the subset of `interest`
         # whose queries were coalesced behind the current PFU.  First-time
         # updates fan out to these; maintenance updates fan out to all of
         # `interest`.  Keeping them separate prevents a response from
         # being broadcast to long-subscribed neighbors that asked nothing.
-        self.waiting: AbstractSet[NodeId] = NO_NEIGHBORS
+        # Sorted the same way.
+        self.waiting: tuple = NO_NEIGHBORS
         self.local_waiters = 0
         self.popularity = 0
         self.policy_state: Any = None
@@ -137,8 +151,6 @@ class KeyState:
         self.designated_replica: Optional[str] = None
         self.clear_bit_sent = False
         self.justification_deadlines: Sequence[float] = NO_DEADLINES
-        # Memoized deterministic fan-out order (see sorted_interest).
-        self._interest_sorted: Optional[tuple] = None
         # Conservative lower bound on the earliest entry expiration: the
         # gc sweep skips the per-entry scan entirely while the clock has
         # not reached it.  Maintained on entry application (replacing
@@ -245,58 +257,26 @@ class KeyState:
 
     def register_interest(self, neighbor: NodeId) -> None:
         """Set the neighbor's interest bit (it asked about this key)."""
-        interest = self.interest
-        if neighbor not in interest:
-            if interest:
-                interest.add(neighbor)
-            else:
-                self.interest = {neighbor}
-            self._interest_sorted = None
+        self.interest = with_neighbor(self.interest, neighbor)
 
     def clear_interest(self, neighbor: NodeId) -> bool:
         """Clear the neighbor's interest bit; True if it was set."""
         interest = self.interest
         if neighbor in interest:
-            if len(interest) == 1:
-                self.interest = NO_NEIGHBORS
-            else:
-                interest.discard(neighbor)
-            self._interest_sorted = None
+            self.interest = tuple(n for n in interest if n != neighbor)
             return True
         return False
 
     def clear_all_interest(self) -> None:
         """Drop every interest bit (standard caching after a response)."""
-        if self.interest:
-            self.interest = NO_NEIGHBORS
-            self._interest_sorted = None
+        self.interest = NO_NEIGHBORS
 
     def drop_departed_neighbors(self, alive: Set[NodeId]) -> None:
         """Patch the bit vector after churn (§2.9): keep only live nodes."""
-        # Guarded: ``&=`` on the shared empty would bind a fresh frozenset.
         if self.interest:
-            self.interest &= alive
+            self.interest = tuple(n for n in self.interest if n in alive)
         if self.waiting:
-            self.waiting &= alive
-        self._interest_sorted = None
-
-    def sorted_interest(self) -> tuple:
-        """Interested neighbors in deterministic (str-keyed) fan-out order.
-
-        Memoized: the ordering is recomputed only when the interest set
-        changes, not once per forwarded update.  A length check guards
-        against callers that mutate ``interest`` directly.
-        """
-        cached = self._interest_sorted
-        if cached is not None and len(cached) == len(self.interest):
-            return cached
-        interest = self.interest
-        if len(interest) <= 1:
-            cached = tuple(interest)
-        else:
-            cached = tuple(sorted(interest, key=str))
-        self._interest_sorted = cached
-        return cached
+            self.waiting = tuple(n for n in self.waiting if n in alive)
 
     # ------------------------------------------------------------------
     # Justification accounting (§3.1)
@@ -372,6 +352,15 @@ class KeyState:
                 f"key {self.key!r}: negative local waiter count "
                 f"{self.local_waiters}"
             )
+        for name in ("interest", "waiting"):
+            # The fan-out order, and what a set guaranteed: no repeats.
+            neighbors = getattr(self, name)
+            names = [str(n) for n in neighbors]
+            if type(neighbors) is not tuple or names != sorted(set(names)):
+                problems.append(
+                    f"key {self.key!r}: {name} {neighbors!r} is not a "
+                    f"strictly str-sorted tuple"
+                )
         # Note: ``waiting <= interest`` is deliberately NOT checked — a
         # cut-off can race an outstanding coalesced query (the child
         # clears its bit upstream while the parent still owes it a

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.cache import NO_ITEMS, NO_NEIGHBORS, KeyState, NodeCache
+from repro.core.cache import NO_ITEMS, NO_NEIGHBORS, KeyState, NodeCache, with_neighbor
 from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
 from repro.core.messages import (
     ClearBitMessage,
@@ -295,10 +295,7 @@ class CupNode:
 
         if from_neighbor is not None:
             state.register_interest(from_neighbor)
-            if state.waiting:
-                state.waiting.add(from_neighbor)
-            else:
-                state.waiting = {from_neighbor}
+            state.waiting = with_neighbor(state.waiting, from_neighbor)
         if state.pending_first_update:
             if now - state.pending_since <= self.pfu_timeout:
                 # Cases 2/3 with the flag already set: coalesce.
@@ -479,8 +476,8 @@ class CupNode:
             self.policy.observe_update(state)
 
         delivered: tuple = ()
-        interest = state.interest
-        if interest:
+        targets = state.interest
+        if targets:
             # Receiving on behalf of interested neighbors: apply and push
             # (§2.6 case 2, "popularity high or some interest bits set").
             # The no-gate case — an ungated policy at full capacity over
@@ -493,10 +490,7 @@ class CupNode:
                 and channels.unlimited
                 and recovery is None
             ):
-                targets = state._interest_sorted
-                if targets is None or len(targets) != len(interest):
-                    targets = state.sorted_interest()
-                if sender is not None and sender in interest:
+                if sender is not None and sender in targets:
                     targets = tuple(t for t in targets if t != sender)
                 if targets:
                     self._transport.send_fanout(self.node_id, targets, update)
@@ -525,16 +519,16 @@ class CupNode:
                 recovery.note_refreshed(key)
             self._answer_local_waiters(state)
             if state.waiting:
-                starved = state.waiting.difference(delivered)
-                starved.discard(sender)
+                starved = tuple(
+                    n for n in state.waiting
+                    if n != sender and n not in delivered
+                )
                 if starved:
                     response = UpdateMessage(
                         key, UpdateType.FIRST_TIME,
                         tuple(state.fresh_entries(now)), None, now,
                     )
-                    self._push_updates(
-                        tuple(sorted(starved, key=str)), response
-                    )
+                    self._push_updates(starved, response)
                 state.waiting = NO_NEIGHBORS
 
         if triggering:
@@ -598,12 +592,7 @@ class CupNode:
         self._answer_local_waiters(state)
         if state.waiting:
             self._push_updates(
-                tuple(
-                    neighbor
-                    for neighbor in sorted(state.waiting, key=str)
-                    if neighbor != sender
-                ),
-                update,
+                tuple(n for n in state.waiting if n != sender), update
             )
             state.waiting = NO_NEIGHBORS
         if not self.persistent_interest:
@@ -655,14 +644,9 @@ class CupNode:
         way :meth:`_push_updates` sends them (so capacity coin flips
         consume the random stream identically).
         """
-        interest = state.interest
-        if not interest:
+        targets = state.interest
+        if not targets:
             return ()
-        # Memoized deterministic fan-out order (inlined sorted_interest
-        # read: this runs once per forwarded update).
-        targets = state._interest_sorted
-        if targets is None or len(targets) != len(interest):
-            targets = state.sorted_interest()
         # The push-level gate (§3.3) caps *propagation* — maintenance
         # updates only.  First-time updates are query responses; blocking
         # them would break query resolution itself (a push level of 0
@@ -674,7 +658,7 @@ class CupNode:
                 [t for t in targets if t != exclude]
             )
             return ()
-        if exclude is not None and exclude in interest:
+        if exclude is not None and exclude in targets:
             targets = tuple(t for t in targets if t != exclude)
         delivered = self._push_updates(targets, update)
         suppressed = len(targets) - len(delivered)

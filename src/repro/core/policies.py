@@ -25,8 +25,8 @@ within ``p`` hops of the authority.  :class:`AllOutPolicy` with a
 ``push_level`` models exactly that.
 
 Policy objects are shared across all nodes of a simulation and hold no
-per-key state themselves; mutable bookkeeping lives in
-``KeyState.policy_state`` via :meth:`CutoffPolicy.new_state`.
+per-key state themselves; what they keep per key lives in
+``KeyState.policy_state``.
 """
 
 from __future__ import annotations
@@ -151,22 +151,14 @@ class LogarithmicPolicy(CutoffPolicy):
         return state.popularity >= threshold
 
 
-class _LogBasedState:
-    """Consecutive query-less update intervals seen for one key."""
-
-    __slots__ = ("strikes",)
-
-    def __init__(self) -> None:
-        self.strikes = 0
-
-
 class LogBasedPolicy(CutoffPolicy):
     """History-based cut-off: cut after ``strikes_to_cut`` consecutive
     update arrivals with zero queries in between.
 
     Adapts to the *timing* of queries within the workload instead of to
     network distance, which is why the paper finds it tracks shifts in
-    key popularity that probability-based policies miss.
+    key popularity that probability-based policies miss.  The strike
+    count is the int in ``KeyState.policy_state`` (``None`` reads as 0).
     """
 
     def __init__(self, strikes_to_cut: int, name: Optional[str] = None):
@@ -177,21 +169,14 @@ class LogBasedPolicy(CutoffPolicy):
         self.strikes_to_cut = strikes_to_cut
         self.name = name or f"log-based(n={strikes_to_cut})"
 
-    def new_state(self) -> _LogBasedState:
-        return _LogBasedState()
-
     def observe_update(self, state: KeyState) -> None:
-        if state.policy_state is None:
-            state.policy_state = self.new_state()
         if state.popularity > 0:
-            state.policy_state.strikes = 0
+            state.policy_state = 0
         else:
-            state.policy_state.strikes += 1
+            state.policy_state = (state.policy_state or 0) + 1
 
     def should_keep_receiving(self, state: KeyState, distance: int) -> bool:
-        if state.policy_state is None:
-            return True
-        return state.policy_state.strikes < self.strikes_to_cut
+        return (state.policy_state or 0) < self.strikes_to_cut
 
 
 class SecondChancePolicy(LogBasedPolicy):

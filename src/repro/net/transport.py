@@ -72,7 +72,7 @@ class LiveTransport(TransportCore):
 
     def _dispatch(self, src: NodeId, dst: NodeId, message: Message,
                   direct: bool) -> None:
-        if dst in self._receivers:
+        if dst in self._handlers:
             # In-process destination: defer one loop turn so a handler
             # never re-enters from inside the sending handler's frame.
             self._router.call_soon(self._hand_over, src, dst, message)

@@ -97,10 +97,11 @@ class Overlay(ABC):
     #: Safety bound on route length; ``route`` raises beyond this.
     max_route_length = 10_000
 
-    #: Bound on memoized (node, key) routing results per epoch; the memo
-    #: is cleared (not evicted entrywise) beyond this, so a pathological
-    #: key universe degrades to the unmemoized cost, never to unbounded
-    #: memory.
+    #: Bound on memoized routing results per epoch (each memo counts its
+    #: entries: keys for ``authority``, (node, key) pairs for
+    #: ``next_hop``); a memo is cleared (not evicted entrywise) when it
+    #: reaches this, so a pathological key universe degrades to the
+    #: unmemoized cost, never to unbounded memory.
     route_cache_limit = 1 << 20
 
     def __init__(self) -> None:
@@ -113,7 +114,10 @@ class Overlay(ABC):
         #: steady-state throughput.
         self.table_build_seconds = 0.0
         self.table_builds = 0
-        self._next_hop_cache: Dict[Any, Optional[NodeId]] = {}
+        # key -> {node: next hop}: one dict per key routed, so a memo
+        # entry costs a dict slot, not a (node, key) tuple besides.
+        self._next_hop_cache: Dict[str, Dict[NodeId, Optional[NodeId]]] = {}
+        self._next_hop_entries = 0
         self._authority_cache: Dict[str, NodeId] = {}
 
     # ------------------------------------------------------------------
@@ -138,6 +142,7 @@ class Overlay(ABC):
         """Invalidate every routing memo; call after each join/leave."""
         self.epoch += 1
         self._next_hop_cache.clear()
+        self._next_hop_entries = 0
         self._authority_cache.clear()
         self._invalidate_tables()
 
@@ -171,14 +176,20 @@ class Overlay(ABC):
         Returns ``None`` iff ``node_id`` is the authority for ``key``.
         Memoized per (node, key) within the current membership epoch.
         """
-        cache = self._next_hop_cache
-        cache_key = (node_id, key)
-        hop = cache.get(cache_key, _MISS)
-        if hop is _MISS:
-            hop = self._compute_next_hop(node_id, key)
-            if len(cache) >= self.route_cache_limit:
-                cache.clear()
-            cache[cache_key] = hop
+        per_key = self._next_hop_cache.get(key)
+        if per_key is not None:
+            hop = per_key.get(node_id, _MISS)
+            if hop is not _MISS:
+                return hop
+        hop = self._compute_next_hop(node_id, key)
+        if self._next_hop_entries >= self.route_cache_limit:
+            self._next_hop_cache.clear()
+            self._next_hop_entries = 0
+            per_key = None
+        if per_key is None:
+            per_key = self._next_hop_cache[key] = {}
+        per_key[node_id] = hop
+        self._next_hop_entries += 1
         return hop
 
     def _compute_authority(self, key: str) -> NodeId:

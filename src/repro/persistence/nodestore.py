@@ -197,7 +197,6 @@ def sanitize_restored(state: NodeState, now: float) -> int:
         key_state.is_authority_here = False
         key_state.authority_epoch = -1
         key_state.clear_bit_sent = False
-        key_state._interest_sorted = None
         key_state.purge_expired(now)
         key_state._recompute_expiry_bounds()
         if key_state.is_discardable(now):

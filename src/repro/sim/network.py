@@ -161,10 +161,6 @@ class TransportCore:
 
     def __init__(self) -> None:
         self._handlers: Dict[NodeId, MessageHandler] = {}
-        # Bound ``receive`` methods, maintained alongside _handlers: the
-        # delivery hot path calls straight into the handler without a
-        # per-delivery attribute lookup and method bind.
-        self._receivers: Dict[NodeId, Callable] = {}
         self._send_observers: List[SendObserver] = []
         # The standard metrics collector, when attached via
         # attach_metrics(): its hop counters are incremented inline on
@@ -187,12 +183,10 @@ class TransportCore:
     def register(self, node_id: NodeId, handler: MessageHandler) -> None:
         """Attach a node.  Re-registering an id replaces its handler."""
         self._handlers[node_id] = handler
-        self._receivers[node_id] = handler.receive
 
     def unregister(self, node_id: NodeId) -> None:
         """Detach a node; in-flight messages to it will be dropped."""
         self._handlers.pop(node_id, None)
-        self._receivers.pop(node_id, None)
 
     def is_registered(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` currently has a handler attached."""
@@ -244,12 +238,12 @@ class TransportCore:
 
     def _hand_over(self, src: NodeId, dst: NodeId, message: Message) -> None:
         """End of a journey: the receiver's handler, or a counted drop."""
-        receive = self._receivers.get(dst)
-        if receive is None:
+        handler = self._handlers.get(dst)
+        if handler is None:
             self.dropped += 1
             return
         self.delivered += 1
-        receive(message, src)
+        handler.receive(message, src)
 
 
 class Transport(TransportCore):

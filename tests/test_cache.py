@@ -5,6 +5,8 @@ import tracemalloc
 
 import pytest
 from helpers import MicroNet
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import NO_ITEMS, KeyState, NodeCache
 from repro.core.channels import CapacityConfig
@@ -122,10 +124,62 @@ class TestInterestBits:
         state = KeyState("k")
         for neighbor in "abc":
             state.register_interest(neighbor)
-        state.waiting = {"a", "c"}
+        state.waiting = ("a", "c")
         state.drop_departed_neighbors({"a", "b"})
-        assert state.interest == {"a", "b"}
-        assert state.waiting == {"a"}
+        assert state.interest == ("a", "b")
+        assert state.waiting == ("a",)
+
+
+    def test_audit_reports_unsorted_or_duplicated_neighbors(self):
+        state = KeyState("k")
+        state.interest = (10, 9)  # "10" < "9": sorted by str, fine
+        state.waiting = ("a",)
+        assert state.audit_consistency() == []
+        for bad in (("b", "a"), ("a", "a"), (9, 10)):
+            state.interest = bad
+            (problem,) = state.audit_consistency()
+            assert "interest" in problem and "str-sorted" in problem
+        state.interest = ()
+        state.waiting = {"a"}
+        (problem,) = state.audit_consistency()
+        assert "waiting {'a'}" in problem
+
+
+# Ints and strings, so str order differs from int order ("10" < "9").
+_NEIGHBOR = st.sampled_from([0, 1, 2, 9, 10, 11, 100, "a", "b", "n1", "n2"])
+_INTEREST_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), _NEIGHBOR),
+        st.tuples(st.just("clear"), _NEIGHBOR),
+        st.tuples(st.just("clear_all")),
+        st.tuples(st.just("drop"), st.frozensets(_NEIGHBOR)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_INTEREST_OPS)
+def test_interest_tuple_behaves_like_a_sorted_set(ops):
+    """The interest tuple keeps what a set guaranteed — no duplicates,
+    the same membership — and is always in str fan-out order."""
+    state = KeyState("k")
+    model = set()
+    for op in ops:
+        if op[0] == "register":
+            state.register_interest(op[1])
+            model.add(op[1])
+        elif op[0] == "clear":
+            assert state.clear_interest(op[1]) == (op[1] in model)
+            model.discard(op[1])
+        elif op[0] == "clear_all":
+            state.clear_all_interest()
+            model.clear()
+        else:
+            state.drop_departed_neighbors(op[1])
+            model &= op[1]
+        assert state.interest == tuple(sorted(model, key=str))
+        assert state.audit_consistency() == []
 
 
 class TestJustification:
@@ -186,8 +240,8 @@ class TestSharedEmpties:
             state.record_justification_window(10.0)
         a.register_interest("n2")
         a.record_justification_window(20.0)
-        assert (a.interest, b.interest) == ({"n1", "n2"}, {"n1"})
-        assert isinstance(b.interest, set)
+        assert (a.interest, b.interest) == (("n1", "n2"), ("n1",))
+        assert isinstance(b.interest, tuple)
         assert a.justification_deadlines == [10.0, 20.0]
         assert b.justification_deadlines == [10.0]
         assert not KeyState("c").interest
@@ -198,7 +252,7 @@ class TestSharedEmpties:
         net.node(2).post_local_query("k")
         net.sim.run_until(0.015)  # n1 holds n2's query; no answer yet
         relay = net.node(1).cache.get("k")
-        assert relay.waiting == {"n2"} and isinstance(relay.waiting, set)
+        assert relay.waiting == ("n2",) and isinstance(relay.waiting, tuple)
         assert not net.node(2).cache.get("k").waiting
         assert not KeyState("other").waiting
         net.settle()
@@ -224,7 +278,7 @@ class TestSharedEmpties:
         state.drop_departed_neighbors({"n1"})
         state.register_interest("n1")
         state.record_justification_window(10.0)
-        assert state.interest == {"n1"}
+        assert state.interest == ("n1",)
         assert state.settle_justification(now=5.0) == (1, 0)
         net = MicroNet()
         net.seed_authority("k")
@@ -232,7 +286,7 @@ class TestSharedEmpties:
             pickle.dumps(KeyState("k")))
         net.node(2).post_local_query("k")
         net.settle()
-        assert net.node(1).cache.get("k").interest == {"n2"}
+        assert net.node(1).cache.get("k").interest == ("n2",)
         assert net.node(2).cache.get("k").has_fresh(net.sim.now)
 
 
@@ -442,7 +496,7 @@ class TestNodeCache:
         a.register_interest("n1")
         a.register_interest("dead")
         cache.patch_interest_after_churn({"n1", "n2"})
-        assert a.interest == {"n1"}
+        assert a.interest == ("n1",)
 
     def test_discard(self):
         cache = NodeCache()

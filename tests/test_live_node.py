@@ -650,7 +650,7 @@ def test_outbox_is_bounded_and_overflow_counted():
         link = a._conns[b.node_id]
         link.writer_task.cancel()  # wedge the drain: queue can only fill
         for _ in range(a.config.outbox_limit + 5):
-            link.send_json({"t": "joined", "id": "overflow-probe"})
+            link.send_json({"t": "peers", "peers": {}})
         assert link.outbox.qsize() <= a.config.outbox_limit
         assert link.overflows >= 5
         assert a.metrics.outbox_overflows >= 5

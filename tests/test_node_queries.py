@@ -126,7 +126,7 @@ class TestCoalescing:
         net.node(3).post_local_query("k")
         net.settle()
         for i in (1, 2):
-            assert net.node(i).cache.get("k").waiting == set()
+            assert net.node(i).cache.get("k").waiting == ()
 
 
 class TestNonCoalescingBaseline:
@@ -157,7 +157,7 @@ class TestNonCoalescingBaseline:
         net.settle()
         for i in (0, 1, 2):
             state = net.node(i).cache.get("k")
-            assert state is None or state.interest == set()
+            assert state is None or state.interest == ()
 
     def test_intermediate_cache_still_answers(self):
         net = MicroNet(coalesce=False, persistent_interest=False)

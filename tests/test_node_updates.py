@@ -157,7 +157,7 @@ class TestSecondChanceCutoff:
             net.settle()
         # Leaf cut first, then intermediates; eventually the authority's
         # own interest bit for n1 clears.
-        assert net.node(0).cache.get("k").interest == set()
+        assert net.node(0).cache.get("k").interest == ()
 
     def test_requery_resubscribes_after_cut(self):
         net = MicroNet(policy=SecondChancePolicy())
@@ -165,7 +165,7 @@ class TestSecondChanceCutoff:
         for _ in range(3):
             net.refresh_authority("k", lifetime=30.0)
             net.settle()
-        assert net.node(0).cache.get("k").interest == set()
+        assert net.node(0).cache.get("k").interest == ()
         net.sim.run_until(net.sim.now + 40.0)  # let entries expire
         net.node(3).post_local_query("k")
         net.settle()

@@ -104,7 +104,7 @@ def test_store_roundtrip(tmp_path):
     assert state.members == (SELF, PEER)
     assert state.saved_at == NOW
     restored = state.cache.states["k1"]
-    assert restored.interest == {PEER}
+    assert restored.interest == (PEER,)
     assert max(e.sequence for e in restored.entries.values()) == 4
 
 
@@ -201,7 +201,7 @@ def test_sanitize_scrubs_volatile_state_and_keeps_fresh_keys():
     live.pending_first_update = True
     live.pending_since = 123.0
     live.local_waiters = 3
-    live.waiting = {PEER}
+    live.waiting = (PEER,)
     live.parent_epoch = 7
     state = state_from_blob(state_to_blob(capture_state(daemon)))
     kept = sanitize_restored(state, now=NOW)
@@ -212,7 +212,7 @@ def test_sanitize_scrubs_volatile_state_and_keeps_fresh_keys():
     assert not restored.waiting
     assert restored.parent_epoch == -1
     # The durable bits survive: entries and interest.
-    assert restored.interest == {PEER}
+    assert restored.interest == (PEER,)
     assert restored.has_fresh(NOW)
 
 

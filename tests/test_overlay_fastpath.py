@@ -274,6 +274,25 @@ class TestChurnInvalidatesMemo:
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", sorted(OVERLAY_BUILDERS))
+def test_next_hop_memo_stays_bounded_and_correct(name):
+    """More (node, key) pairs than the limit: the memo clears instead of
+    growing, and every answer, memoized or not, equals the reference."""
+    overlay = OVERLAY_BUILDERS[name](
+        [f"m{i}" if name != "can" else i for i in range(16)]
+    )
+    overlay.route_cache_limit = 7
+    pairs = [(node_id, f"key-{k}")
+             for k in range(5) for node_id in overlay.node_ids()]
+    assert len(pairs) > overlay.route_cache_limit
+    for node_id, key in pairs + pairs[::-1]:
+        assert overlay.next_hop(node_id, key) == overlay.next_hop_reference(
+            node_id, key
+        )
+        held = sum(len(hops) for hops in overlay._next_hop_cache.values())
+        assert held == overlay._next_hop_entries <= overlay.route_cache_limit
+
+
 class TestInternTable:
     def test_hashes_once(self):
         calls = []

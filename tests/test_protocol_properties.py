@@ -58,7 +58,7 @@ def check_invariants(net):
     now = net.sim.now
     for name, node in net.nodes.items():
         for state in node.cache:
-            assert state.waiting <= state.interest, (
+            assert set(state.waiting) <= set(state.interest), (
                 f"waiting !<= interest at {name}:{state.key}"
             )
             if not state.pending_first_update:

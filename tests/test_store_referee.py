@@ -58,10 +58,8 @@ def persisted(state):
     for, as plain comparable data."""
     def slots(key_state):
         out = {slot: getattr(key_state, slot) for slot in KeyState.__slots__}
-        strikes = getattr(out.pop("policy_state"), "strikes", None)
-        return dict(out, strikes=strikes,
-                    justification_deadlines=tuple(
-                        out["justification_deadlines"]))
+        return dict(out, justification_deadlines=tuple(
+            out["justification_deadlines"]))
 
     return {
         "identity": (state.node_id, state.mode, state.members),
