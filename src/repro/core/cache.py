@@ -39,18 +39,37 @@ from typing import (
 from repro.core.entry import IndexEntry
 from repro.sim.network import NodeId
 
+# The shared empties
+# ------------------
+# Most keys and most nodes of a wide network hold nothing in most of
+# their containers, and a private empty container per holder would be
+# the bulk of what an idle key or node costs.  So each such attribute
+# starts on one shared, immutable empty, and the one place that first
+# writes it binds a private container:
+#
+# * ``NO_DEADLINES`` — a key's ``justification_deadlines`` (settling
+#   swaps the empty back);
+# * ``NO_ITEMS`` — the dicts a node owns: channel queues and refresh
+#   buffers (only a rate-limited or aggregating node fills them);
+# * ``NO_AUTHORITY`` (:mod:`repro.replicas.authority`) — the authority
+#   index of a node that owns no key, swapped for a private index by
+#   ``CupNode._own_authority`` on its first replica event or handover.
+#
+# Writing to a shared empty raises instead of leaking into every holder.
+# A pickled copy (checkpoint, node store) of ``NO_DEADLINES`` or
+# ``NO_ITEMS`` is an empty of its own, so those are tested by truth,
+# never identity.  ``NO_AUTHORITY`` pickles by name and comes back as
+# itself; it is tested by identity, because an owned index emptied by a
+# handover still holds its sequence counters and must stay private.
+# (``interest`` and ``waiting`` are tuples, so ``NO_NEIGHBORS`` is just
+# the empty tuple: nothing to share.)
+
 #: What ``interest`` / ``waiting`` hold while they hold nothing.  Both
 #: are immutable tuples kept sorted by ``str`` — the deterministic
-#: fan-out order — so every change binds a new tuple, and an empty one
-#: is the empty tuple: no private container to share.
+#: fan-out order — so every change binds a new tuple.
 NO_NEIGHBORS: tuple = ()
 
-#: What ``justification_deadlines`` holds while it holds nothing.  A
-#: key owes no justification most of the time, so a private list per
-#: key would be the bulk of what an idle key costs.  One immutable empty
-#: is shared instead: the first add swaps in a private ``list`` and
-#: settling swaps the empty back.  Always test this attribute by truth,
-#: never by identity: a pickled state restores with an empty of its own.
+#: What ``justification_deadlines`` holds while it holds nothing.
 NO_DEADLINES: Sequence[float] = ()
 
 
@@ -82,12 +101,7 @@ class _EmptyDict(dict):
     __setitem__ = setdefault = update = __ior__ = _refuse
 
 
-#: The rule of ``NO_DEADLINES`` one level up, for the dicts a *node*
-#: owns: channel queues, the authority directory, refresh buffers.  Only
-#: a rate-limited, authority or aggregating node ever fills them, so
-#: every node starts on this one empty and binds a private ``dict`` at
-#: the one place each attribute is first written — tested by truth
-#: there, for the reason above.
+#: The empty dict every node shares until it writes one of its own.
 NO_ITEMS: Dict[Any, Any] = _EmptyDict()
 
 

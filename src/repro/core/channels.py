@@ -170,10 +170,8 @@ class OutgoingUpdateChannels:
         self.unlimited = self.capacity.unlimited()
         self._rng = rng
         self._priorities = priorities or DEFAULT_PRIORITIES
-        # Queue state starts on shared immutable empties (see
-        # core.cache.NO_ITEMS): with no rate limit push() sends straight
-        # through, so most nodes never own a queue.  The first *queued*
-        # update binds the three private containers, together.
+        # Shared empties until the first *queued* update binds the three
+        # private containers together (see core.cache).
         self._queues: Dict[NodeId, List[_QueuedUpdate]] = NO_ITEMS
         self._seq = 0
         self._pump_scheduled = False

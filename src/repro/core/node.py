@@ -21,6 +21,8 @@ observation that a push level of zero *is* standard caching.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.cache import NO_ITEMS, NO_NEIGHBORS, KeyState, NodeCache, with_neighbor
@@ -36,7 +38,7 @@ from repro.core.policies import CutoffPolicy
 from repro.core.recovery import RecoveryConfig, RecoveryManager
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.base import NodeId, Overlay
-from repro.replicas.authority import AuthorityIndex
+from repro.replicas.authority import NO_AUTHORITY, AuthorityIndex
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, Transport
 
@@ -44,13 +46,30 @@ if TYPE_CHECKING:  # annotations only: a live node runs without numpy
     import numpy as np
 
 
-class CupNode:
-    """One peer: query handling, cache maintenance, authority duties.
+def require_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
+    number > 0."""
+    try:
+        valid = math.isfinite(value) and value > 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+@dataclasses.dataclass(eq=False, slots=True)
+class NodeEnv:
+    """What every node of one network shares: substrate and settings.
+
+    A :class:`CupNode` holds only what differs between nodes and reads
+    the rest here, so a network builds one env and hands it to every
+    node (a harness that wants per-node random streams builds one env
+    per node instead).
 
     Parameters
     ----------
-    node_id, sim, transport, overlay:
-        Identity and substrate.
+    sim, transport, overlay:
+        The substrate: clock, message transport, routing.
     policy:
         The cut-off policy (§3.4) shared by all nodes of a run.
     metrics:
@@ -72,10 +91,12 @@ class CupNode:
         for the key's *designated* replica, making the decision
         independent of how many replicas feed updates; when ``False``
         the naive variant evaluates on every update arrival.
-    capacity:
-        Outgoing update channel capacity (§2.8), replaceable at runtime.
-    rng:
-        Random stream for fractional-capacity coin flips.
+    initial_capacity:
+        Initial outgoing update channel capacity (§2.8) of every node;
+        a node replaces its own at runtime (:meth:`CupNode.set_capacity`).
+    capacity_rng:
+        Random stream for fractional-capacity and refresh-sampling coin
+        flips.
     pfu_timeout:
         Seconds after which an unanswered Pending-First-Update flag stops
         coalescing and the next query re-pushes upstream.  Recovers from
@@ -92,92 +113,105 @@ class CupNode:
         fraction of replica refreshes (suppressed ones still update the
         local directory, so correctness is unaffected — downstream
         caches just see fewer, staggered refreshes).
+    channel_priorities:
+        Update-type priority table of rate-limited channels.
+    recovery_config:
+        Equips every node with the unreliable-transport recovery layer
+        when given.
     """
 
-    __slots__ = (
-        "node_id", "_sim", "_transport", "_overlay", "policy", "metrics",
-        "persistent_interest", "coalesce", "replica_independent_cutoff",
-        "pfu_timeout", "track_justification", "cache", "authority_index",
-        "channels", "refresh_aggregation_window", "refresh_sample_fraction",
-        "_aggregation_buffers", "_sample_rng", "keepalive_monitor",
-        "invariant_probe", "_forward_always", "recovery",
-    )
+    sim: Simulator
+    transport: Transport
+    overlay: Overlay
+    policy: CutoffPolicy
+    metrics: MetricsCollector
+    persistent_interest: bool = True
+    coalesce: bool = True
+    replica_independent_cutoff: bool = True
+    initial_capacity: Optional[CapacityConfig] = None
+    capacity_rng: Optional[np.random.Generator] = None
+    pfu_timeout: float = 30.0
+    track_justification: bool = True
+    refresh_aggregation_window: Optional[float] = None
+    refresh_sample_fraction: float = 1.0
+    channel_priorities: Optional[dict] = None
+    recovery_config: Optional[RecoveryConfig] = None
+    # Set by attach_invariants(); the hot paths pay one attribute load +
+    # None test per probe site, so leaving invariants off costs nothing.
+    invariant_probe: Optional[object] = dataclasses.field(
+        default=None, init=False)
+    # Policies that inherit the base may_forward (always True — every
+    # cut-off family except explicit push-level caps) let the fan-out
+    # skip two method calls per forwarded update.
+    forward_always: bool = dataclasses.field(init=False)
 
-    def __init__(
-        self,
-        node_id: NodeId,
-        sim: Simulator,
-        transport: Transport,
-        overlay: Overlay,
-        policy: CutoffPolicy,
-        metrics: MetricsCollector,
-        persistent_interest: bool = True,
-        coalesce: bool = True,
-        replica_independent_cutoff: bool = True,
-        capacity: Optional[CapacityConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        pfu_timeout: float = 30.0,
-        track_justification: bool = True,
-        refresh_aggregation_window: Optional[float] = None,
-        refresh_sample_fraction: float = 1.0,
-        channel_priorities: Optional[dict] = None,
-        recovery_config: Optional[RecoveryConfig] = None,
-    ):
-        if refresh_aggregation_window is not None and refresh_aggregation_window <= 0:
-            raise ValueError(
-                "refresh_aggregation_window must be positive or None"
+    def __post_init__(self) -> None:
+        self.validate(
+            self.pfu_timeout, self.refresh_aggregation_window,
+            self.refresh_sample_fraction,
+        )
+        self.forward_always = (
+            type(self.policy).may_forward is CutoffPolicy.may_forward
+        )
+
+    @staticmethod
+    def validate(
+        pfu_timeout: float,
+        refresh_aggregation_window: Optional[float],
+        refresh_sample_fraction: float,
+    ) -> None:
+        """Reject node settings no node could run with (``ValueError``)."""
+        require_positive("pfu_timeout", pfu_timeout)
+        if refresh_aggregation_window is not None:
+            require_positive(
+                "refresh_aggregation_window", refresh_aggregation_window
             )
         if not 0.0 < refresh_sample_fraction <= 1.0:
             raise ValueError(
-                "refresh_sample_fraction must be in (0, 1]"
+                "refresh_sample_fraction must be in (0, 1], got "
+                f"{refresh_sample_fraction!r}"
             )
+
+
+class CupNode:
+    """One peer: query handling, cache maintenance, authority duties.
+
+    ``node_id`` is the peer's identity; everything its peers share lives
+    in ``env`` (:class:`NodeEnv`).  The node itself holds its cache, its
+    authority index (the shared empty ``NO_AUTHORITY`` until it first
+    owns a key), outgoing update channels (``None`` while its capacity
+    is unlimited), refresh buffers, and its keep-alive and recovery
+    machinery when those are on.
+    """
+
+    __slots__ = (
+        "node_id", "env", "cache", "authority_index", "channels",
+        "_aggregation_buffers", "keepalive_monitor", "recovery",
+    )
+
+    def __init__(self, node_id: NodeId, env: NodeEnv):
         self.node_id = node_id
-        self._sim = sim
-        self._transport = transport
-        self._overlay = overlay
-        self.policy = policy
-        # Policies that inherit the base may_forward (always True — every
-        # cut-off family except explicit push-level caps) let the fan-out
-        # skip two method calls per forwarded update.
-        self._forward_always = (
-            type(policy).may_forward is CutoffPolicy.may_forward
-        )
-        self.metrics = metrics
-        self.persistent_interest = persistent_interest
-        self.coalesce = coalesce
-        self.replica_independent_cutoff = replica_independent_cutoff
-        self.pfu_timeout = pfu_timeout
-        self.track_justification = track_justification
+        self.env = env
         self.cache = NodeCache()
-        self.authority_index = AuthorityIndex()
-        self.channels = OutgoingUpdateChannels(
-            sim, self._transmit_update, capacity=capacity, rng=rng,
-            priorities=channel_priorities,
-        )
-        self.refresh_aggregation_window = refresh_aggregation_window
-        self.refresh_sample_fraction = refresh_sample_fraction
-        # The shared empty until the first buffered refresh (see
-        # core.cache.NO_ITEMS); only an aggregating authority buffers.
+        self.authority_index: AuthorityIndex = NO_AUTHORITY
+        self.channels: Optional[OutgoingUpdateChannels] = None
+        if env.initial_capacity is not None:
+            self.set_capacity(env.initial_capacity)
         self._aggregation_buffers: dict = NO_ITEMS
-        self._sample_rng = rng
         # Unreliable-transport survival layer: None on the default
         # reliable path (zero hot-path cost beyond one None test).  With
         # recovery on, updates are stamped with per-neighbor sequence
-        # numbers at transmit time, so every push goes through the
-        # per-child channel path (see _push_updates).
-        if recovery_config is not None:
+        # numbers at transmit time, so every push goes child by child
+        # (see _push_updates).
+        if env.recovery_config is not None:
             self.recovery = RecoveryManager(
-                sim, transport, node_id, metrics, recovery_config,
-                self._recover_by_pull,
+                env.sim, env.transport, node_id, env.metrics,
+                env.recovery_config, self._recover_by_pull,
             )
         else:
             self.recovery = None
         # Attached by CupNetwork.enable_keepalive(); None otherwise.
         self.keepalive_monitor = None
-        # Attached by CupNetwork.attach_invariants(); None otherwise.
-        # The hot paths pay one attribute load + None test per probe
-        # site, so leaving invariants off costs essentially nothing.
-        self.invariant_probe = None
 
     # ------------------------------------------------------------------
     # Transport entry point
@@ -222,17 +256,18 @@ class CupNode:
         first-time update answers (the paper's asynchronous response
         path); the posting itself never blocks.
         """
-        metrics = self.metrics
+        env = self.env
+        metrics = env.metrics
         metrics.queries_posted += 1
         answered = self._process_query(key, from_neighbor=None)
         if answered:
             metrics.local_hits += 1
-        if self.invariant_probe is not None:
-            self.invariant_probe.query_posted(self.node_id, key, answered)
+        if env.invariant_probe is not None:
+            env.invariant_probe.query_posted(self.node_id, key, answered)
         return answered
 
     def _handle_query(self, message: QueryMessage, sender: NodeId) -> None:
-        self.metrics.neighbor_queries += 1
+        self.env.metrics.neighbor_queries += 1
         self._process_query(
             message.key, from_neighbor=sender, path=message.path
         )
@@ -248,29 +283,31 @@ class CupNode:
         ``path`` is the open-connection chain carried by standard-caching
         queries (``None`` under CUP).
         """
-        now = self._sim.now
+        env = self.env
+        metrics = env.metrics
+        now = env.sim.now
         state = self.cache.get_or_create(key)
         # "In each of the cases, the node updates its popularity measure
         # for K" (§2.5) — queries from neighbors and local clients alike.
         state.popularity += 1
-        if self.track_justification and state.justification_deadlines:
+        if env.track_justification and state.justification_deadlines:
             justified, unjustified = state.settle_justification(now)
-            self.metrics.justified_updates += justified
-            self.metrics.unjustified_updates += unjustified
+            metrics.justified_updates += justified
+            metrics.unjustified_updates += unjustified
 
         # Hit paths materialize the answering entries only when a
         # neighbor needs them on the wire; a local hit — the overwhelming
         # majority of queries in a warm network — answers without
         # building the entry tuple at all.
         if self._is_authority(key, state):
-            self.metrics.authority_answers += 1
+            metrics.authority_answers += 1
             if from_neighbor is not None:
                 entries = tuple(self.authority_index.fresh_entries(key, now))
                 self._answer_query(state, entries, from_neighbor, path, now)
             return True
         if state.has_fresh(now):
             # Case 1: fresh entries cached — answer from here.
-            self.metrics.cache_answers += 1
+            metrics.cache_answers += 1
             if from_neighbor is not None:
                 entries = tuple(state.fresh_entries(now))
                 self._answer_query(state, entries, from_neighbor, path, now)
@@ -278,16 +315,16 @@ class CupNode:
 
         # A miss: classify (first-time vs freshness) at the posting node.
         if from_neighbor is None:
-            self.metrics.misses += 1
+            metrics.misses += 1
             if state.entries:
-                self.metrics.freshness_misses += 1
+                metrics.freshness_misses += 1
             else:
-                self.metrics.first_time_misses += 1
+                metrics.first_time_misses += 1
             if state.local_waiters == 0:
                 state.pending_since = now
             state.local_waiters += 1
 
-        if not self.coalesce:
+        if not env.coalesce:
             # Standard caching: every query travels on its own open
             # connection — forward it regardless of what is in flight.
             self._push_query_upstream(key, state, self._extend_path(path))
@@ -297,9 +334,9 @@ class CupNode:
             state.register_interest(from_neighbor)
             state.waiting = with_neighbor(state.waiting, from_neighbor)
         if state.pending_first_update:
-            if now - state.pending_since <= self.pfu_timeout:
+            if now - state.pending_since <= env.pfu_timeout:
                 # Cases 2/3 with the flag already set: coalesce.
-                self.metrics.coalesced_queries += 1
+                metrics.coalesced_queries += 1
                 return False
             # The outstanding query evidently died with a departed node;
             # fall through and push a fresh one.
@@ -319,11 +356,12 @@ class CupNode:
     ) -> None:
         """Send a first-time update answering one neighbor's query."""
         key = state.key
-        if self.coalesce:
+        env = self.env
+        if env.coalesce:
             state.register_interest(from_neighbor)
             response = UpdateMessage(key, UpdateType.FIRST_TIME, entries, None, now)
             self._push_updates((from_neighbor,), response)
-            if not self.persistent_interest:
+            if not env.persistent_interest:
                 state.clear_interest(from_neighbor)
         else:
             # The response retraces the query's open-connection chain;
@@ -334,7 +372,7 @@ class CupNode:
             response = UpdateMessage(
                 key, UpdateType.FIRST_TIME, entries, None, now, route=route
             )
-            self._transport.send(self.node_id, from_neighbor, response)
+            env.transport.send(self.node_id, from_neighbor, response)
 
     def _extend_path(self, path: Optional[tuple]) -> tuple:
         return (*(path or ()), self.node_id)
@@ -343,19 +381,21 @@ class CupNode:
         self, key: str, state: KeyState, path: Optional[tuple]
     ) -> None:
         parent = self._parent(key, state)
-        self.metrics.queries_forwarded += 1
-        self._transport.send(self.node_id, parent, QueryMessage(key, path=path))
+        env = self.env
+        env.metrics.queries_forwarded += 1
+        env.transport.send(self.node_id, parent, QueryMessage(key, path=path))
 
     # ------------------------------------------------------------------
     # Updates (§2.6)
     # ------------------------------------------------------------------
 
     def _handle_update(self, update: UpdateMessage, sender: NodeId) -> None:
-        now = self._sim.now
-        probe = self.invariant_probe
+        env = self.env
+        now = env.sim.now
+        probe = env.invariant_probe
         if probe is not None:
             probe.update_delivered(self.node_id, update, sender)
-        metrics = self.metrics
+        metrics = env.metrics
         # Unreliable transport: account the hop sequence before anything
         # can drop the message (even an expired update advances the
         # watermark — its loss must not look like a gap), and suppress
@@ -442,7 +482,7 @@ class CupNode:
                     metrics.updates_stale_discarded += 1
                     return
 
-        if self.track_justification:
+        if env.track_justification:
             deadlines = state.justification_deadlines
             if not deadlines:
                 state.justification_deadlines = [update.expiry]
@@ -459,7 +499,7 @@ class CupNode:
         # replica-independent fix (§3.6) only on updates for the key's
         # designated replica — so the decision rate does not scale with
         # the replica count.
-        if not self.replica_independent_cutoff:
+        if not env.replica_independent_cutoff:
             triggering = True
         else:
             replica_id = update.replica_id
@@ -473,7 +513,7 @@ class CupNode:
                 else:
                     triggering = replica_id == designated
         if triggering:
-            self.policy.observe_update(state)
+            env.policy.observe_update(state)
 
         delivered: tuple = ()
         targets = state.interest
@@ -484,17 +524,15 @@ class CupNode:
             # a reliable transport, i.e. virtually every hop of a healthy
             # run — is inlined; anything that can gate, suppress, queue
             # or stamp takes the general path.
-            channels = self.channels
             if (
-                self._forward_always
-                and channels.unlimited
+                env.forward_always
+                and self.channels is None
                 and recovery is None
             ):
                 if sender is not None and sender in targets:
                     targets = tuple(t for t in targets if t != sender)
                 if targets:
-                    self._transport.send_fanout(self.node_id, targets, update)
-                    channels.forwarded += len(targets)
+                    env.transport.send_fanout(self.node_id, targets, update)
                     delivered = targets
             else:
                 delivered = self._forward_to_interested(
@@ -502,7 +540,7 @@ class CupNode:
                 )
         elif triggering and not self._is_authority(key, state):
             distance = self._distance_for_policy(key, state)
-            if not self.policy.should_keep_receiving(state, distance):
+            if not env.policy.should_keep_receiving(state, distance):
                 self._send_clear_bit(key, state, toward=sender)
 
         # A maintenance update can double as the awaited response: if it
@@ -546,16 +584,17 @@ class CupNode:
         forwards to the next node of the recorded chain; the final node
         is the query's poster.
         """
-        probe = self.invariant_probe
+        env = self.env
+        probe = env.invariant_probe
         for entry in update.entries:
             if state.apply_entry(entry) and probe is not None:
                 probe.entry_applied(self.node_id, state.key, entry)
-        if self.track_justification:
-            self.metrics.justified_updates += 1
+        if env.track_justification:
+            env.metrics.justified_updates += 1
         if update.route:
             forwarded = update.fork()
             forwarded.route = update.route[:-1]
-            self._transport.send(self.node_id, update.route[-1], forwarded)
+            env.transport.send(self.node_id, update.route[-1], forwarded)
         else:
             self._answer_local_waiters(state)
 
@@ -570,14 +609,15 @@ class CupNode:
         served by the maintenance stream, and broadcasting responses to
         them would double-charge the miss path.
         """
-        probe = self.invariant_probe
+        env = self.env
+        probe = env.invariant_probe
         for entry in update.entries:
             if state.apply_entry(entry) and probe is not None:
                 probe.entry_applied(self.node_id, state.key, entry)
-        if self.track_justification:
+        if env.track_justification:
             # First-time updates are always justified (§3.1): they carry
             # a response toward the node that issued the query.
-            self.metrics.justified_updates += 1
+            env.metrics.justified_updates += 1
         state.pending_first_update = False
         if self.recovery is not None and update.entries:
             # The degraded pull is answered: the key re-earns full
@@ -595,7 +635,7 @@ class CupNode:
                 tuple(n for n in state.waiting if n != sender), update
             )
             state.waiting = NO_NEIGHBORS
-        if not self.persistent_interest:
+        if not env.persistent_interest:
             state.clear_all_interest()
             return
         # A response is an update arrival: the popularity interval
@@ -603,22 +643,24 @@ class CupNode:
         # cut-off policy gets its look — an aggressive policy (e.g.
         # linear with a high alpha·D threshold) may cut off right after
         # being answered, which is exactly the behaviour §3.4 measures.
-        self.policy.observe_update(state)
+        env.policy.observe_update(state)
         if not state.interest and not self._is_authority(state.key, state):
             distance = self._distance_for_policy(state.key, state)
-            if not self.policy.should_keep_receiving(state, distance):
+            if not env.policy.should_keep_receiving(state, distance):
                 self._send_clear_bit(state.key, state, toward=sender)
         state.popularity = 0
 
     def _answer_local_waiters(self, state: KeyState) -> None:
         if state.local_waiters:
-            self.metrics.answers_delivered += state.local_waiters
-            self.metrics.answer_delay_total += (
-                self._sim.now - state.pending_since
+            env = self.env
+            metrics = env.metrics
+            metrics.answers_delivered += state.local_waiters
+            metrics.answer_delay_total += (
+                env.sim.now - state.pending_since
             ) * state.local_waiters
-            self.metrics.answer_delay_count += state.local_waiters
-            if self.invariant_probe is not None:
-                self.invariant_probe.waiters_answered(
+            metrics.answer_delay_count += state.local_waiters
+            if env.invariant_probe is not None:
+                env.invariant_probe.waiters_answered(
                     self.node_id, state.key, state.local_waiters
                 )
             state.local_waiters = 0
@@ -647,14 +689,15 @@ class CupNode:
         targets = state.interest
         if not targets:
             return ()
+        env = self.env
         # The push-level gate (§3.3) caps *propagation* — maintenance
         # updates only.  First-time updates are query responses; blocking
         # them would break query resolution itself (a push level of 0
         # must degrade to standard caching, not to silence).
-        if not self._forward_always and update.update_type != UpdateType.FIRST_TIME and not self.policy.may_forward(
+        if not env.forward_always and update.update_type != UpdateType.FIRST_TIME and not env.policy.may_forward(
             self._distance_for_forwarding(state)
         ):
-            self.metrics.updates_suppressed += len(
+            env.metrics.updates_suppressed += len(
                 [t for t in targets if t != exclude]
             )
             return ()
@@ -663,24 +706,28 @@ class CupNode:
         delivered = self._push_updates(targets, update)
         suppressed = len(targets) - len(delivered)
         if suppressed:
-            self.metrics.updates_suppressed += suppressed
+            env.metrics.updates_suppressed += suppressed
         return delivered
 
     def _push_updates(self, targets: tuple, update: UpdateMessage) -> tuple:
         """Offer one update to many neighbors; returns those it reached.
 
-        When nothing can suppress, queue or stamp the sends (full
-        capacity, no rate pump, no recovery layer) the transport fans
-        the shared payload out directly.  Otherwise each neighbor gets
-        its own channel offer, preserving per-child coin flip order,
-        queue accounting and ``hop_seq`` stamping.
+        When nothing can suppress, queue or stamp the sends (no capacity
+        limit, so no channels, and no recovery layer) the transport fans
+        the shared payload out directly.  With recovery on, each neighbor
+        gets its own stamped copy; under a limit, its own channel offer,
+        preserving per-child coin flip order and queue accounting.
         """
         if not targets:
             return ()
         channels = self.channels
-        if channels.unlimited and self.recovery is None:
-            self._transport.send_fanout(self.node_id, targets, update)
-            channels.forwarded += len(targets)
+        if channels is None:
+            if self.recovery is None:
+                self.env.transport.send_fanout(self.node_id, targets, update)
+            else:
+                transmit = self._transmit_update
+                for neighbor in targets:
+                    transmit(neighbor, update.fork())
             return targets
         delivered = []
         push = channels.push
@@ -694,7 +741,7 @@ class CupNode:
         recovery = self.recovery
         if recovery is not None and update.route is None:
             recovery.stamp(neighbor, update)
-        self._transport.send(self.node_id, neighbor, update)
+        self.env.transport.send(self.node_id, neighbor, update)
 
     def _recover_by_pull(self, key: str) -> None:
         """Degraded read: refill the cache through the query path.
@@ -705,17 +752,18 @@ class CupNode:
         bit), so the subscription tree self-heals and the eventual
         first-time response replaces whatever updates were lost.
         """
-        if not self._transport.is_registered(self.node_id):
+        env = self.env
+        if not env.transport.is_registered(self.node_id):
             # The owner itself departed/crashed with a retry timer still
             # armed; there is nobody to pull for.
             return
         state = self.cache.get_or_create(key)
         if self._is_authority(key, state):
             return
-        now = self._sim.now
+        now = env.sim.now
         if (
             state.pending_first_update
-            and now - state.pending_since <= self.pfu_timeout
+            and now - state.pending_since <= env.pfu_timeout
         ):
             # A pull is already in flight; its response covers this gap.
             return
@@ -734,8 +782,9 @@ class CupNode:
         if target is None:
             return
         state.clear_bit_sent = True
-        self.metrics.clear_bits_sent += 1
-        self._transport.send(self.node_id, target, ClearBitMessage(key))
+        env = self.env
+        env.metrics.clear_bits_sent += 1
+        env.transport.send(self.node_id, target, ClearBitMessage(key))
 
     def _handle_clear_bit(self, message: ClearBitMessage, sender: NodeId) -> None:
         state = self.cache.get(message.key)
@@ -750,7 +799,7 @@ class CupNode:
         # interest bits are clear, the node also pushes a Clear-Bit" —
         # the cascade toward the authority (§2.7).
         distance = self._distance_for_policy(message.key, state)
-        if not self.policy.should_keep_receiving(state, distance):
+        if not self.env.policy.should_keep_receiving(state, distance):
             self._send_clear_bit(message.key, state, toward=None)
 
     # ------------------------------------------------------------------
@@ -758,8 +807,9 @@ class CupNode:
     # ------------------------------------------------------------------
 
     def _handle_replica(self, message: ReplicaMessage) -> None:
-        now = self._sim.now
-        metrics = self.metrics
+        env = self.env
+        now = env.sim.now
+        metrics = env.metrics
         event = message.event.value
         if event == "birth":
             metrics.replica_births += 1
@@ -767,23 +817,23 @@ class CupNode:
             metrics.replica_refreshes += 1
         else:
             metrics.replica_deaths += 1
-        update = self.authority_index.apply_replica_message(message, now)
+        update = self._own_authority().apply_replica_message(message, now)
         if update is None:
             return
         if update.update_type == UpdateType.REFRESH:
             # §3.6 overhead-reduction techniques (refreshes only —
             # deletes prevent errors and appends add capacity, so they
             # always propagate promptly).
-            if self.refresh_sample_fraction < 1.0:
-                if self._sample_rng is None:
+            if env.refresh_sample_fraction < 1.0:
+                if env.capacity_rng is None:
                     raise RuntimeError(
                         "refresh sampling requires an rng; pass one at "
                         "construction"
                     )
-                if self._sample_rng.random() >= self.refresh_sample_fraction:
-                    self.metrics.updates_suppressed += 1
+                if env.capacity_rng.random() >= env.refresh_sample_fraction:
+                    metrics.updates_suppressed += 1
                     return
-            if self.refresh_aggregation_window is not None:
+            if env.refresh_aggregation_window is not None:
                 self._buffer_refresh(update)
                 return
         state = self.cache.get_or_create(message.key)
@@ -805,8 +855,9 @@ class CupNode:
         if not buffers:
             buffers = self._aggregation_buffers = {}
         buffers[update.key] = [update]
-        self._sim.schedule(
-            self.refresh_aggregation_window, self._flush_refresh_buffer,
+        env = self.env
+        env.sim.schedule(
+            env.refresh_aggregation_window, self._flush_refresh_buffer,
             update.key,
         )
 
@@ -814,7 +865,7 @@ class CupNode:
         buffered = self._aggregation_buffers.pop(key, None)
         if not buffered:
             return
-        now = self._sim.now
+        now = self.env.sim.now
         # Latest version per replica; drop anything that expired while
         # buffered (possible only with windows near the entry lifetime).
         latest: dict = {}
@@ -844,9 +895,10 @@ class CupNode:
         Returns the number of entries deleted; each deletion propagates
         to interested neighbors like any other delete.
         """
-        deletes = self.authority_index.sweep_expired(self._sim.now)
+        env = self.env
+        deletes = self.authority_index.sweep_expired(env.sim.now)
         for update in deletes:
-            self.metrics.failure_detections += 1
+            env.metrics.failure_detections += 1
             state = self.cache.get_or_create(update.key)
             self._forward_to_interested(state, update)
         return len(deletes)
@@ -862,33 +914,36 @@ class CupNode:
         multi-key workload never thrashes the memo; hot-path lookups
         after the first per epoch are two attribute reads.
         """
-        epoch = getattr(self._overlay, "epoch", 0)
+        overlay = self.env.overlay
+        epoch = getattr(overlay, "epoch", 0)
         if state.authority_epoch != epoch:
-            state.is_authority_here = self._overlay.authority(key) == self.node_id
+            state.is_authority_here = overlay.authority(key) == self.node_id
             state.authority_epoch = epoch
         return state.is_authority_here
 
     def _parent(self, key: str, state: KeyState) -> Optional[NodeId]:
-        epoch = getattr(self._overlay, "epoch", 0)
+        overlay = self.env.overlay
+        epoch = getattr(overlay, "epoch", 0)
         if state.parent_epoch != epoch:
-            state.parent = self._overlay.next_hop(self.node_id, key)
+            state.parent = overlay.next_hop(self.node_id, key)
             state.parent_epoch = epoch
         return state.parent
 
     def _distance_for_policy(self, key: str, state: KeyState) -> int:
-        if not self.policy.needs_distance:
+        if not self.env.policy.needs_distance:
             return 0
         return self._distance(key, state)
 
     def _distance_for_forwarding(self, state: KeyState) -> int:
-        if not self.policy.needs_distance:
+        if not self.env.policy.needs_distance:
             return 0
         return self._distance(state.key, state)
 
     def _distance(self, key: str, state: KeyState) -> int:
-        epoch = getattr(self._overlay, "epoch", 0)
+        overlay = self.env.overlay
+        epoch = getattr(overlay, "epoch", 0)
         if state.distance_epoch != epoch:
-            state.distance = self._overlay.distance(self.node_id, key)
+            state.distance = overlay.distance(self.node_id, key)
             state.distance_epoch = epoch
         return state.distance
 
@@ -896,13 +951,35 @@ class CupNode:
     # Maintenance / churn support
     # ------------------------------------------------------------------
 
+    def _own_authority(self) -> AuthorityIndex:
+        """The authority index, made private before its first write."""
+        index = self.authority_index
+        if index is NO_AUTHORITY:
+            index = self.authority_index = AuthorityIndex()
+        return index
+
     def set_capacity(self, capacity: CapacityConfig) -> None:
-        """Change outgoing update capacity at runtime (§3.7 faults)."""
-        self.channels.set_capacity(capacity)
+        """Change outgoing update capacity at runtime (§3.7 faults).
+
+        A node holds channels only while a limit is imposed: the first
+        limit builds them, and lifting it flushes what they queued and
+        drops them again.
+        """
+        channels = self.channels
+        if channels is not None:
+            channels.set_capacity(capacity)
+            if channels.unlimited:
+                self.channels = None
+        elif not capacity.unlimited():
+            env = self.env
+            self.channels = OutgoingUpdateChannels(
+                env.sim, self._transmit_update, capacity=capacity,
+                rng=env.capacity_rng, priorities=env.channel_priorities,
+            )
 
     def gc(self) -> int:
         """Purge expired cache state; returns discarded key count."""
-        return self.cache.gc(self._sim.now)
+        return self.cache.gc(self.env.sim.now)
 
     def patch_after_churn(self, alive: set) -> None:
         """§2.9: drop departed neighbors from interest vectors."""

@@ -39,7 +39,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.core.channels import PRIORITY_PROFILES, CapacityConfig
-from repro.core.node import CupNode
+from repro.core.node import CupNode, NodeEnv, require_positive
 from repro.core.policies import CutoffPolicy, make_policy
 from repro.core.recovery import RecoveryConfig
 from repro.metrics.collector import MetricsCollector, MetricsSummary
@@ -142,21 +142,16 @@ class CupConfig:
             raise ValueError(
                 f"unknown key_distribution: {self.key_distribution!r}"
             )
-        if self.entry_lifetime <= 0:
-            raise ValueError("entry_lifetime must be positive")
-        if self.query_rate <= 0:
-            raise ValueError("query_rate must be positive")
+        require_positive("entry_lifetime", self.entry_lifetime)
+        require_positive("query_rate", self.query_rate)
         if not 0.0 <= self.capacity_fraction <= 1.0:
             raise ValueError("capacity_fraction must be in [0, 1]")
-        if (
-            self.refresh_aggregation_window is not None
-            and self.refresh_aggregation_window <= 0
-        ):
-            raise ValueError(
-                "refresh_aggregation_window must be positive or None"
-            )
-        if not 0.0 < self.refresh_sample_fraction <= 1.0:
-            raise ValueError("refresh_sample_fraction must be in (0, 1]")
+        if self.capacity_rate is not None:
+            require_positive("capacity_rate", self.capacity_rate)
+        NodeEnv.validate(
+            self.pfu_timeout, self.refresh_aggregation_window,
+            self.refresh_sample_fraction,
+        )
         if self.priority_profile not in PRIORITY_PROFILES:
             raise ValueError(
                 f"unknown priority_profile: {self.priority_profile!r}; "
@@ -244,15 +239,35 @@ class CupNetwork:
         self._refresh_setup_costs()
         self.keys = [f"k{i:05d}" for i in range(config.resolved_total_keys())]
 
-        # One buffered view of the shared capacity stream for every node:
-        # coin flips (§3.7 fractional capacity, §3.6 refresh sampling) are
-        # drawn in blocks, and because all consumers share this wrapper
-        # the served sequence is bit-identical to per-call scalar draws.
-        self._capacity_rng = BufferedUniforms(self.streams.get("capacity"))
-        # One capacity object for every node, joiners included: a fault
-        # replaces a node's config (set_capacity), nothing writes to one.
-        self._initial_capacity = CapacityConfig(
-            fraction=config.capacity_fraction, rate=config.capacity_rate
+        # What every node shares, joiners included.  Coin flips (§3.7
+        # fractional capacity, §3.6 refresh sampling) come from one
+        # buffered view of the capacity stream, drawn in blocks: because
+        # all nodes share it the served sequence is bit-identical to
+        # per-call scalar draws.  The one initial capacity object is
+        # never written: a fault replaces a node's (set_capacity).
+        self.env = NodeEnv(
+            self.sim, self.transport, self.overlay, self.policy,
+            self.metrics,
+            persistent_interest=(config.mode == "cup"),
+            coalesce=(config.mode != "standard"),
+            replica_independent_cutoff=config.replica_independent_cutoff,
+            initial_capacity=CapacityConfig(
+                fraction=config.capacity_fraction, rate=config.capacity_rate
+            ),
+            capacity_rng=BufferedUniforms(self.streams.get("capacity")),
+            pfu_timeout=config.pfu_timeout,
+            track_justification=config.track_justification,
+            refresh_aggregation_window=config.refresh_aggregation_window,
+            refresh_sample_fraction=config.refresh_sample_fraction,
+            channel_priorities=PRIORITY_PROFILES[config.priority_profile],
+            # Standard caching routes responses over recorded query
+            # paths (route is not None), which the sequence layer
+            # exempts; only CUP-style propagation gets recovery state.
+            recovery_config=(
+                RecoveryConfig()
+                if not config.reliable_transport and config.mode != "standard"
+                else None
+            ),
         )
 
         # Keep-alive machinery (§2.1): off until enable_keepalive().
@@ -309,37 +324,8 @@ class CupNetwork:
         return build_overlay(self.config)
 
     def _create_node(self, node_id: NodeId) -> CupNode:
-        config = self.config
-        node = CupNode(
-            node_id=node_id,
-            sim=self.sim,
-            transport=self.transport,
-            overlay=self.overlay,
-            policy=self.policy,
-            metrics=self.metrics,
-            persistent_interest=(config.mode == "cup"),
-            coalesce=(config.mode != "standard"),
-            replica_independent_cutoff=config.replica_independent_cutoff,
-            capacity=self._initial_capacity,
-            rng=self._capacity_rng,
-            pfu_timeout=config.pfu_timeout,
-            track_justification=config.track_justification,
-            refresh_aggregation_window=config.refresh_aggregation_window,
-            refresh_sample_fraction=config.refresh_sample_fraction,
-            channel_priorities=PRIORITY_PROFILES[config.priority_profile],
-            # Standard caching routes responses over recorded query
-            # paths (route is not None), which the sequence layer
-            # exempts; only CUP-style propagation gets recovery state.
-            recovery_config=(
-                RecoveryConfig()
-                if not config.reliable_transport and config.mode != "standard"
-                else None
-            ),
-        )
-        self.nodes[node_id] = node
+        node = self.nodes[node_id] = CupNode(node_id, self.env)
         self.transport.register(node_id, node)
-        if self.invariants is not None:
-            node.invariant_probe = self.invariants
         return node
 
     def _register_jittered_links(self) -> None:
@@ -594,8 +580,7 @@ class CupNetwork:
         )
         self.invariants = checker
         self.transport.add_send_observer(checker.on_send)
-        for node in self.nodes.values():
-            node.invariant_probe = checker
+        self.env.invariant_probe = checker
         if check_interval is not None:
             self._schedule_invariant_audit(check_interval)
         return checker
@@ -773,7 +758,7 @@ class CupNetwork:
             slices = departing_index.extract_keys(list(departing_index.keys()))
             for key, per_key in slices.items():
                 new_owner = self.overlay.authority(key)
-                self.nodes[new_owner].authority_index.absorb({key: per_key})
+                self.nodes[new_owner]._own_authority().absorb({key: per_key})
 
         # §2.9: patch interest bit vectors of the affected nodes.
         alive = set(self.nodes)
@@ -807,7 +792,7 @@ class CupNetwork:
             slices = node.authority_index.extract_keys(misplaced)
             for key, per_key in slices.items():
                 owner = self.overlay.authority(key)
-                self.nodes[owner].authority_index.absorb({key: per_key})
+                self.nodes[owner]._own_authority().absorb({key: per_key})
 
     # ------------------------------------------------------------------
     # Introspection

@@ -421,7 +421,10 @@ class InvariantChecker:
         for node_id, node in list(network.nodes.items()):
             for problem in node.cache.audit_consistency():
                 self._violate("structural", problem, node=node_id)
-            queued_counter, queued_actual = node.channels.pending_counts()
+            channels = node.channels
+            queued_counter, queued_actual = (
+                (0, 0) if channels is None else channels.pending_counts()
+            )
             if queued_counter != queued_actual:
                 self._violate(
                     "structural",
@@ -432,7 +435,7 @@ class InvariantChecker:
             for state in node.cache:
                 self.entries_checked += len(state.entries)
                 if (
-                    node.coalesce
+                    node.env.coalesce
                     and state.local_waiters
                     and not state.pending_first_update
                 ):

@@ -83,7 +83,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.keepalive import KeepAliveMonitor
 from repro.core.messages import ReplicaEvent, ReplicaMessage
-from repro.core.node import CupNode
+from repro.core.node import CupNode, NodeEnv
 from repro.core.policies import make_policy
 from repro.core.recovery import RecoveryConfig
 from repro.metrics.collector import MetricsCollector
@@ -403,18 +403,15 @@ class LiveNode:
         self.members.add(self.node_id)
         self.overlay.join(self.node_id)
         is_cup = config.mode == "cup"
-        self.node = CupNode(
-            node_id=self.node_id,
-            sim=self.clock,
-            transport=self.transport,
-            overlay=self.overlay,
-            policy=make_policy(config.policy),
-            metrics=self.metrics,
+        env = NodeEnv(
+            self.clock, self.transport, self.overlay,
+            make_policy(config.policy), self.metrics,
             persistent_interest=is_cup,
             coalesce=is_cup,
             pfu_timeout=config.pfu_timeout,
             recovery_config=RecoveryConfig() if config.recovery else None,
         )
+        self.node = CupNode(self.node_id, env)
         self.transport.register(self.node_id, self)
         if config.invariants:
             from repro.invariants.checker import InvariantChecker
@@ -425,7 +422,7 @@ class LiveNode:
                 raise_immediately=False,
             )
             self.transport.add_send_observer(self.checker.on_send)
-            self.node.invariant_probe = self.checker
+            env.invariant_probe = self.checker
         self.keepalive = KeepAliveMonitor(
             self.clock, self.transport, self.node_id,
             neighbors_fn=lambda: self.overlay.neighbors(self.node_id),

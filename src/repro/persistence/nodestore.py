@@ -69,6 +69,7 @@ from repro.persistence.checkpoint import (
     peek_header,
     unpack,
 )
+from repro.replicas.authority import NO_AUTHORITY, AuthorityIndex
 
 MAGIC = b"CUPNODE\n"
 _KIND = "node state"
@@ -154,6 +155,8 @@ def _apply_delta(state: NodeState, delta: dict) -> None:
             states.pop(key, None)
         else:
             states[key] = key_state
+    if state.authority is NO_AUTHORITY:
+        state.authority = AuthorityIndex()
     state.authority.install_slice(delta["authority"])
     recovery = delta["recovery"]
     if recovery is not None:

@@ -34,12 +34,8 @@ class AuthorityIndex:
     __slots__ = ("_entries", "_sequences")
 
     def __init__(self) -> None:
-        # Shared immutable empties (see core.cache.NO_ITEMS) until this
-        # node first owns a key: most nodes of a wide network never do.
-        # Bound private by _own_directory, on the first replica event or
-        # absorbed slice.
-        self._entries: Dict[str, Dict[str, IndexEntry]] = NO_ITEMS
-        self._sequences: Dict[Tuple[str, str], int] = NO_ITEMS
+        self._entries: Dict[str, Dict[str, IndexEntry]] = {}
+        self._sequences: Dict[Tuple[str, str], int] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -70,15 +66,6 @@ class AuthorityIndex:
     # Replica events -> updates
     # ------------------------------------------------------------------
 
-    def _own_directory(self) -> Dict[str, Dict[str, IndexEntry]]:
-        """``_entries`` as a dict that may be written to."""
-        if not self._sequences:
-            self._sequences = {}
-        entries = self._entries
-        if not entries:
-            entries = self._entries = {}
-        return entries
-
     def _next_sequence(self, key: str, replica_id: str) -> int:
         seq = self._sequences.get((key, replica_id), 0) + 1
         self._sequences[(key, replica_id)] = seq
@@ -94,7 +81,7 @@ class AuthorityIndex:
         """
         if message.event == ReplicaEvent.DEATH:
             return self.remove(message.key, message.replica_id, now)
-        per_key = self._own_directory().setdefault(message.key, {})
+        per_key = self._entries.setdefault(message.key, {})
         existed = message.replica_id in per_key
         entry = IndexEntry(
             key=message.key,
@@ -193,11 +180,10 @@ class AuthorityIndex:
         """Replay an :meth:`export_slice` over this index."""
         for key, per_key in exported["entries"].items():
             if per_key:
-                self._own_directory()[key] = per_key
+                self._entries[key] = per_key
             elif key in self._entries:
                 del self._entries[key]
         if exported["sequences"]:
-            self._own_directory()
             self._sequences.update(exported["sequences"])
 
     def absorb(self, slices: Dict[str, Dict[str, IndexEntry]]) -> int:
@@ -209,7 +195,7 @@ class AuthorityIndex:
         """
         accepted = 0
         for key, per_key in slices.items():
-            mine = self._own_directory().setdefault(key, {})
+            mine = self._entries.setdefault(key, {})
             for replica_id, entry in per_key.items():
                 current = mine.get(replica_id)
                 if current is None or current.sequence < entry.sequence:
@@ -220,3 +206,22 @@ class AuthorityIndex:
                     self._sequences.get(seq_key, 0), entry.sequence
                 )
         return accepted
+
+
+class _NoAuthority(AuthorityIndex):
+    """The type of :data:`NO_AUTHORITY`: empty, and refusing writes."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self._entries = self._sequences = NO_ITEMS
+
+    def __reduce__(self):
+        # Pickled by name: a checkpoint or node store round trip hands
+        # back the one shared object, never a writable copy of it.
+        return "NO_AUTHORITY"
+
+
+#: The authority index of every node that owns no key (see the
+#: shared-empties rule in :mod:`repro.core.cache`).
+NO_AUTHORITY: AuthorityIndex = _NoAuthority()

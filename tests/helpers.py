@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.channels import CapacityConfig
-from repro.core.node import CupNode
+from repro.core.node import CupNode, NodeEnv
 from repro.core.policies import CutoffPolicy, SecondChancePolicy
 from repro.metrics.collector import MetricsCollector
 from repro.overlay.base import NodeId, Overlay
@@ -76,21 +76,18 @@ class MicroNet:
         self.policy = policy or SecondChancePolicy()
         self.nodes: Dict[str, CupNode] = {}
         for name in self.overlay.node_ids():
-            node = CupNode(
-                node_id=name,
-                sim=self.sim,
-                transport=self.transport,
-                overlay=self.overlay,
-                policy=self.policy,
-                metrics=self.metrics,
+            # One env per node: each draws its own cap-{name} stream.
+            env = NodeEnv(
+                self.sim, self.transport, self.overlay, self.policy,
+                self.metrics,
                 persistent_interest=persistent_interest,
                 coalesce=coalesce,
                 replica_independent_cutoff=replica_independent_cutoff,
-                capacity=capacity,
-                rng=self.streams.get(f"cap-{name}"),
+                initial_capacity=capacity,
+                capacity_rng=self.streams.get(f"cap-{name}"),
                 pfu_timeout=pfu_timeout,
             )
-            self.nodes[name] = node
+            node = self.nodes[name] = CupNode(name, env)
             self.transport.register(name, node)
 
     @property

@@ -6,7 +6,8 @@ anything that can suppress, queue or stamp goes child by child through
 ``channels.push``.  Which one runs is decided from node state, not by an
 option, so the referee forces the per-child path from outside: while
 :func:`per_child_path` is active every ``CapacityConfig`` reports a
-constraint, and ``channels.unlimited`` is False on every node.  The two
+constraint, so every node holds channels and ``channels.unlimited`` is
+False on each; the pushes it counts show the path really ran.  The two
 must be *observably identical*: same ``MetricsSummary``, same
 invariant-checker verdicts, same per-node cache state, same transport
 totals, and the same ``events_processed``.
@@ -18,25 +19,40 @@ rate pump and fractional capacity (where the per-child path is the only
 legal one) alongside full-capacity fan-out.
 """
 
-from contextlib import nullcontext
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.channels import CapacityConfig
+from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
 from repro.core.protocol import CupConfig, CupNetwork
 from repro.scenarios import SCENARIOS
 from repro.scenarios.dsl import default_base_config
 from repro.scenarios.runner import run_scenario
 
 
+@contextmanager
 def per_child_path(active: bool = True):
-    """While active, no node takes the transport fan-out path."""
+    """While active, no node takes the transport fan-out path.
+
+    Yields the neighbors offered an update through a channel push while
+    active (none otherwise), so a referee can assert it was not vacuous.
+    """
+    pushed = []
     if not active:
-        return nullcontext()
-    return mock.patch.object(CapacityConfig, "unlimited", lambda self: False)
+        yield pushed
+        return
+    push = OutgoingUpdateChannels.push
+
+    def counting_push(self, neighbor, update):
+        pushed.append(neighbor)
+        return push(self, neighbor, update)
+
+    with mock.patch.object(CapacityConfig, "unlimited", lambda self: False), \
+            mock.patch.object(OutgoingUpdateChannels, "push", counting_push):
+        yield pushed
 
 
 def _node_cache_state(net: CupNetwork) -> dict:
@@ -70,10 +86,12 @@ def _transport_totals(net: CupNetwork) -> tuple:
 def _run_config_both_paths(config: CupConfig):
     batched = CupNetwork(config)
     batched_summary = batched.run()
-    with per_child_path():
+    with per_child_path() as pushed:
         reference = CupNetwork(config)
         reference_summary = reference.run()
     assert not any(n.channels.unlimited for n in reference.nodes.values())
+    # Standard caching answers over open connections, never by push.
+    assert pushed or config.mode == "standard"
     return (batched, batched_summary), (reference, reference_summary)
 
 
@@ -153,7 +171,7 @@ class TestScenarioEquivalence:
         scenario = SCENARIOS[name]
         results = {}
         for batched in (True, False):
-            with per_child_path(not batched):
+            with per_child_path(not batched) as pushed:
                 result = run_scenario(
                     scenario,
                     seed=42,
@@ -162,6 +180,7 @@ class TestScenarioEquivalence:
                     base_config=default_base_config(),
                 )
             assert result.ok, (name, batched, result.violations)
+            assert batched or pushed
             results[batched] = result
         assert results[True].summary == results[False].summary
         assert (
@@ -214,8 +233,10 @@ class TestFaultedFanoutEquivalence:
     """
 
     def _faulted_run(self, batched: bool):
-        with per_child_path(not batched):
-            return self._run_with_faults()
+        with per_child_path(not batched) as pushed:
+            run = self._run_with_faults()
+        assert batched or pushed
+        return run
 
     def _run_with_faults(self):
         from repro.sim.network import LinkFaults

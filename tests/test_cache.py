@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import NO_ITEMS, KeyState, NodeCache
-from repro.core.channels import CapacityConfig
+from repro.core.channels import CapacityConfig, OutgoingUpdateChannels
 from repro.core.entry import IndexEntry
 from repro.core.messages import UpdateMessage, UpdateType
+from repro.replicas.authority import NO_AUTHORITY
 
 
 def entry(replica="k/r0", timestamp=0.0, lifetime=100.0, seq=0):
@@ -291,32 +292,40 @@ class TestSharedEmpties:
 
 
 class TestNodeSharedEmpties:
-    """A node costs what it holds: no queue, directory or refresh buffer
-    until the first queued push, replica event or buffered refresh."""
+    """A node costs what it holds: no channels, authority index, queue or
+    refresh buffer until a capacity limit, the first key it owns, the
+    first queued push or the first buffered refresh."""
 
     CHANNELS = ("_queues", "_tie_keys", "_longest")
-    DIRECTORY = ("_entries", "_sequences")
 
-    def _containers(self, node):
+    @staticmethod
+    def _private(node):
+        """Which of its lazily bound attributes ``node`` holds."""
         return {
-            **{n: getattr(node.channels, n) for n in self.CHANNELS},
-            **{n: getattr(node.authority_index, n) for n in self.DIRECTORY},
-            "_aggregation_buffers": node._aggregation_buffers,
+            name for name, empty in (
+                ("channels", None),
+                ("authority_index", NO_AUTHORITY),
+                ("_aggregation_buffers", NO_ITEMS),
+            )
+            if getattr(node, name) is not empty
         }
 
-    def _private(self, node):
-        """Names of the containers ``node`` no longer shares."""
-        fresh = self._containers(MicroNet(length=1).node(0))
+    def _private_containers(self, channels):
+        """Names of the queue containers ``channels`` no longer shares."""
+        fresh = OutgoingUpdateChannels(None, None)
         return {
-            name for name, held in self._containers(node).items()
-            if held is not fresh[name]
+            name for name in self.CHANNELS
+            if getattr(channels, name) is not getattr(fresh, name)
         }
 
     def test_fresh_nodes_share_their_empties(self):
         net = MicroNet()
         assert self._private(net.node(0)) == set()
         assert self._private(net.node(1)) == set()
-        assert net.node(0).channels._seq == 0
+        limited = MicroNet(capacity=CapacityConfig(rate=1.0)).node(0)
+        assert self._private(limited) == {"channels"}
+        assert self._private_containers(limited.channels) == set()
+        assert limited.channels._seq == 0
 
     def test_the_shared_empty_dict_refuses_writes(self):
         for write in (
@@ -331,15 +340,20 @@ class TestNodeSharedEmpties:
 
     def test_send_through_push_allocates_nothing(self):
         net = MicroNet()
-        assert net.node(0).channels.push("n1", refresh())
+        assert net.node(0)._push_updates(("n1",), refresh()) == ("n1",)
         assert self._private(net.node(0)) == set()
+        # Under a limit that does not queue, a push sends straight on.
+        node = MicroNet(capacity=CapacityConfig(fraction=0.5)).node(0)
+        first_time = UpdateMessage("k", UpdateType.FIRST_TIME, (), None, 0.0)
+        assert node.channels.push("n1", first_time)
+        assert self._private_containers(node.channels) == set()
 
     def test_first_queued_push_privatises_the_channel_containers(self):
         net = MicroNet(capacity=CapacityConfig(rate=1.0))
         channels = net.node(0).channels
         assert channels.push("n1", refresh())
-        assert self._private(net.node(0)) == set(self.CHANNELS)
-        assert self._private(net.node(1)) == set()
+        assert self._private_containers(channels) == set(self.CHANNELS)
+        assert self._private_containers(net.node(1).channels) == set()
         assert channels.pending_counts() == (1, 1)
         assert channels.queue_length("n1") == 1
         assert net.node(1).channels.queue_length("n1") == 0
@@ -350,7 +364,7 @@ class TestNodeSharedEmpties:
     def test_first_replica_event_privatises_the_directory(self):
         net = MicroNet()
         net.seed_authority("k")
-        assert self._private(net.authority) == set(self.DIRECTORY)
+        assert self._private(net.authority) == {"authority_index"}
         assert self._private(net.node(1)) == set()
         assert net.authority.authority_index.owns("k")
         assert not net.node(1).authority_index.owns("k")
@@ -359,18 +373,18 @@ class TestNodeSharedEmpties:
         net = MicroNet()
         net.seed_authority("k")
         slices = net.authority.authority_index.extract_keys(["k"])
-        assert net.node(1).authority_index.absorb(slices) == 1
-        assert self._private(net.node(1)) == set(self.DIRECTORY)
+        assert net.node(1)._own_authority().absorb(slices) == 1
+        assert self._private(net.node(1)) == {"authority_index"}
         assert self._private(net.node(2)) == set()
 
     def test_first_buffered_refresh_privatises_the_buffers(self):
         net = MicroNet()
-        net.authority.refresh_aggregation_window = 2.0
+        net.authority.env.refresh_aggregation_window = 2.0
         net.seed_authority("k")
         net.refresh_authority("k")
-        assert self._private(net.authority) == (
-            set(self.DIRECTORY) | {"_aggregation_buffers"}
-        )
+        assert self._private(net.authority) == {
+            "authority_index", "_aggregation_buffers",
+        }
         net.settle(3.0)  # the flush pops the buffer again
         assert not net.authority._aggregation_buffers
         net.refresh_authority("k")
@@ -378,12 +392,17 @@ class TestNodeSharedEmpties:
         assert not net.node(1)._aggregation_buffers
 
     def test_every_read_works_on_the_empties(self):
-        node = MicroNet().node(1)
-        channels, index = node.channels, node.authority_index
+        net = MicroNet()
+        node = net.node(1)
+        channels = OutgoingUpdateChannels(
+            net.sim, node._transmit_update, CapacityConfig(rate=1.0)
+        )
+        index = node.authority_index
         assert channels.pending_counts() == (0, 0)
         assert channels.queue_length("n0") == 0
         channels._flush_all()
         channels._pump_once()
+        assert self._private_containers(channels) == set()
         assert list(index.keys()) == [] and not index.owns("k")
         assert index.entries("k") == [] and index.fresh_entries("k", 0.0) == []
         assert index.entry_count() == 0
@@ -391,6 +410,7 @@ class TestNodeSharedEmpties:
         assert index.remove("k", "k/r0", 0.0) is None
         assert index.extract_keys(["k"]) == {}
         assert index.absorb({}) == 0
+        assert node.sweep_local_index() == 0
         node._flush_refresh_buffer("k")
         assert self._private(node) == set()
 
@@ -399,8 +419,9 @@ class TestNodeSharedEmpties:
         # channel keeps working in both directions afterwards.
         net = MicroNet()
         sent = []
-        channels = net.node(0).channels
-        channels._send = lambda neighbor, u: sent.append(neighbor)
+        channels = OutgoingUpdateChannels(
+            net.sim, lambda neighbor, u: sent.append(neighbor)
+        )
         channels.push("n1", refresh())
         channels.set_capacity(CapacityConfig(rate=0.001))
         for neighbor in ("n1", "n1", "n2"):
@@ -415,10 +436,20 @@ class TestNodeSharedEmpties:
         assert channels.pending_counts() == (1, 1)
         channels.set_capacity(CapacityConfig())
         assert len(sent) == 5 and net.sim.pending == 0
+        # A node holds its channels for exactly as long as the limit.
+        node = net.node(0)
+        node.set_capacity(CapacityConfig(rate=0.001))
+        limited = node.channels
+        node._push_updates(("n1",), refresh())
+        assert limited.pending_counts() == (1, 1)
+        node.set_capacity(CapacityConfig())
+        assert node.channels is None and limited.pending_counts() == (0, 0)
+        assert limited.forwarded == 1
 
     def test_pickled_node_state_accepts_its_first_writes(self):
         # A restored node holds empties of its own; truth, not identity,
-        # decides where a private container is bound.
+        # decides where a private container is bound.  The authority
+        # index is the exception: NO_AUTHORITY pickles as itself.
         net = pickle.loads(pickle.dumps(MicroNet(
             capacity=CapacityConfig(rate=1.0))))
         assert not net.node(0).channels._queues
@@ -427,7 +458,8 @@ class TestNodeSharedEmpties:
         net.settle()
         assert net.node(2).cache.get("k").has_fresh(net.sim.now)
         assert net.authority.channels._queues.keys() == {"n1"}
-        assert not net.node(3).authority_index._entries
+        assert net.node(3).authority_index is NO_AUTHORITY
+        assert not NO_AUTHORITY.owns("k")
 
 
 class TestLifecycle:

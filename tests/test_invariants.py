@@ -84,7 +84,7 @@ class TestWiring:
         net = CupNetwork(tiny_config())
         checker = net.attach_invariants(hazards={"churn"})
         node = net.join_node("late-joiner")
-        assert node.invariant_probe is checker
+        assert node.env.invariant_probe is checker
         assert checker.membership_events == 1
 
     def test_hazard_constants_exported(self):

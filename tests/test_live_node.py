@@ -8,6 +8,7 @@ core classes the simulator runs, now over TCP.
 
 import asyncio
 import time
+from typing import Any, Protocol, runtime_checkable
 
 import pytest
 
@@ -24,16 +25,51 @@ from repro.core.messages import (
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import LiveClock
 from repro.net.daemon import DEAD_AFTER, LiveNode, LiveNodeConfig
-from repro.net.seam import ClockSeam, RouterSeam
 from repro.net.transport import LiveTransport
 from repro.net.wire import FrameDecoder, encode_frame
 from repro.sim.engine import Simulator
-from repro.sim.network import Transport, TransportCore
+from repro.sim.network import Message, NodeId, Transport, TransportCore
 
 
 # ----------------------------------------------------------------------
 # The seam: one hop ledger, and the surface core/ consumes, in both worlds
 # ----------------------------------------------------------------------
+#
+# core/ never imports an event loop or a socket.  Its transport is a
+# TransportCore in both worlds (conformance is isinstance); the clock and
+# the daemon-side router share no code, so their seams are stated here as
+# runtime-checkable Protocols that both implementations must satisfy.
+
+
+@runtime_checkable
+class ClockSeam(Protocol):
+    """What node logic, timers and recovery need of a clock."""
+
+    @property
+    def now(self) -> float:
+        """Current time in seconds (simulated or wall)."""
+
+    def schedule(self, delay: float, fn, *args) -> Any:
+        """Run ``fn(*args)`` after ``delay``; returns a handle with
+        ``cancel()``."""
+
+
+@runtime_checkable
+class RouterSeam(Protocol):
+    """What LiveTransport needs of the daemon it routes for:
+    ``send_wire`` returns False when the frame was dropped (no link,
+    outbox full)."""
+
+    def is_peer(self, node_id: NodeId) -> bool:
+        """Whether ``node_id`` is a peer this daemon can reach."""
+
+    def call_soon(self, fn, *args) -> None:
+        """Run ``fn(*args)`` on the daemon's loop."""
+
+    def send_wire(
+        self, src: NodeId, dst: NodeId, message: Message, direct: bool
+    ) -> bool:
+        """Frame ``message`` toward ``dst``; False if dropped."""
 
 
 class _NullRouter:
@@ -790,9 +826,10 @@ async def _give_birth(authority, keys):
             {"key": key, "replica_id": "r1", "address": "a",
              "lifetime": 120.0})
         assert reply["authority"] == authority.node_id
-    index = authority.node.authority_index
+    # Read the index afresh: the first birth replaces the shared empty.
     await _poll(lambda: all(
-        index.fresh_entries(key, authority.clock.now) for key in keys))
+        authority.node.authority_index.fresh_entries(
+            key, authority.clock.now) for key in keys))
 
 
 def test_first_gets_cost_the_network_not_a_timer():
@@ -940,13 +977,13 @@ def test_put_rejects_a_lifetime_that_is_no_lifetime(lifetime):
         reported = []
         asyncio.get_running_loop().set_exception_handler(
             lambda _loop, context: reported.append(context))
-        index = node.node.authority_index
         reply = await _socket_request(
             node, {"t": "put", "key": "put/bad", "replica_id": "r1",
                    "lifetime": lifetime})
         await asyncio.sleep(0.05)  # where a direct message would land
         assert reply["t"] == "error"
         assert "lifetime" in reply["error"]
+        index = node.node.authority_index
         assert index.entry_count() == 0 and not index.owns("put/bad")
         assert reported == []
 

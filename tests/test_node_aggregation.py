@@ -4,7 +4,7 @@ import pytest
 from helpers import MicroNet
 
 from repro.core.messages import ReplicaEvent, ReplicaMessage, UpdateType
-from repro.core.node import CupNode
+from repro.core.node import NodeEnv
 from repro.core.policies import AllOutPolicy
 
 
@@ -18,7 +18,7 @@ class TestRefreshAggregation:
     def make_net(self, window):
         net = MicroNet(policy=AllOutPolicy())
         for node in net.nodes.values():
-            node.refresh_aggregation_window = window
+            node.env.refresh_aggregation_window = window
         return net
 
     def test_refreshes_within_window_batch_into_one_update(self):
@@ -87,14 +87,8 @@ class TestRefreshAggregation:
 
 def MicroNetWithWindow(window):
     net = MicroNet()
-    node = net.node(0)
-    return CupNode(
-        node_id="x",
-        sim=net.sim,
-        transport=net.transport,
-        overlay=net.overlay,
-        policy=net.policy,
-        metrics=net.metrics,
+    return NodeEnv(
+        net.sim, net.transport, net.overlay, net.policy, net.metrics,
         refresh_aggregation_window=window,
     )
 
@@ -102,8 +96,8 @@ def MicroNetWithWindow(window):
 class TestRefreshSampling:
     def make_net(self, fraction):
         net = MicroNet(policy=AllOutPolicy())
-        for name, node in net.nodes.items():
-            node.refresh_sample_fraction = fraction
+        for node in net.nodes.values():
+            node.env.refresh_sample_fraction = fraction
         return net
 
     def test_sampling_suppresses_some_refreshes(self):
@@ -135,13 +129,8 @@ class TestRefreshSampling:
     def test_invalid_fraction_rejected(self):
         net = MicroNet()
         with pytest.raises(ValueError):
-            CupNode(
-                node_id="x",
-                sim=net.sim,
-                transport=net.transport,
-                overlay=net.overlay,
-                policy=net.policy,
-                metrics=net.metrics,
+            NodeEnv(
+                net.sim, net.transport, net.overlay, net.policy, net.metrics,
                 refresh_sample_fraction=0.0,
             )
 
@@ -156,8 +145,8 @@ class TestConfigPlumbing:
         )
         net = CupNetwork(config)
         node = next(iter(net.nodes.values()))
-        assert node.refresh_aggregation_window == 5.0
-        assert node.refresh_sample_fraction == 0.5
+        assert node.env.refresh_aggregation_window == 5.0
+        assert node.env.refresh_sample_fraction == 0.5
 
     def test_config_validation(self):
         from repro.core.protocol import CupConfig

@@ -76,6 +76,7 @@ class TestConfigPlumbing:
         )
         net = CupNetwork(config)
         node = next(iter(net.nodes.values()))
+        net.set_node_capacity(node.node_id, CapacityConfig(rate=1.0))
         assert node.channels._priorities is FLASH_CROWD_PRIORITIES
 
     def test_unknown_profile_rejected(self):
